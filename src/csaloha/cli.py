@@ -8,8 +8,9 @@ Commands:
   simulate    Monte Carlo packet-loss run (block or coupled), JSON report
 
 Exit codes: 0 success, 2 parameter error, 3 numerical failure.
-The CSA_THREADS environment variable caps the worker count used to fan out
-independent rows / trial batches (default 1).
+The CSA_THREADS environment variable sets the worker count used to fan out
+independent rows / trial batches (default 1). The pool never has more
+workers than CPUs or than rows / trials.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .core import SchemeParams
+from .core import SchemeParams, pool_size
 from .de_block import (
     BlockDeConfig,
     ThresholdBracketError,
@@ -66,7 +67,8 @@ def _sweep_row(task):
 
 
 def _map_rows(fn, tasks, workers):
-    if workers > 1 and len(tasks) > 1:
+    workers = pool_size(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -8,6 +8,7 @@ as a numpy index array is 0-indexed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +142,16 @@ class DeResult:
     final_p is the last sum-node-to-burst-node erasure probability (max over
     positions in the coupled case). trace, when recorded, is a tuple of
     per-iteration (q, p) values; p is an array in the coupled case.
+    stop_reason names the rule that ended the run: "target" (final_p reached
+    target_p), "stall" (progress fell below stall_eps: a fixed point, or
+    slowing near the threshold) or "cap" (max_iters ran out first).
     """
 
     converged: bool
     final_p: float
     iterations: int
     trace: tuple | None = None
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,12 @@ class ThresholdResult:
     def epsilon(self, alpha: float) -> float:
         """Threshold rescaled to an activation probability via g = epsilon * alpha."""
         return self.threshold / alpha
+
+
+def pool_size(requested: int, tasks: int) -> int:
+    """Worker processes to start for `tasks` independent tasks: no more than
+    requested, than the CPUs and than the tasks. 1 means run in-process."""
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

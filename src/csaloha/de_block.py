@@ -21,10 +21,14 @@ class ThresholdBracketError(RuntimeError):
 class BlockDeConfig:
     """Stopping rules for the fixed-point iteration.
 
-    Success means the erasure probability falls below target_p; a per-iteration
-    progress below stall_eps is classified as non-convergence (conservative:
-    near-threshold critical slowing gets counted as a failure, biasing the
-    estimated threshold down by at most the bisection tolerance).
+    Success means the erasure probability falls below target_p. Progress per
+    iteration below stall_eps, or max_iters iterations without success, count
+    as non-convergence (DeResult.stop_reason says which). Near a threshold
+    the iteration slows down, so a run that would still converge can be
+    counted as a failure, and the estimated threshold is biased low. For
+    coupled DE that bias can exceed the bisection tolerance: at d=3, l=200,
+    three probes hit the 1e5 cap, and the coupled threshold lands 3.2e-4
+    below the MAP bound with a tolerance of 1e-4 (ROADMAP item 2).
     """
 
     target_p: float = 1e-8
@@ -65,10 +69,10 @@ def _iterate(d: int, g: float, cfg: BlockDeConfig, record_trace: bool) -> DeResu
         progress = p - p_next
         p = p_next
         if p <= cfg.target_p:
-            return DeResult(True, p, it, tuple(trace) if trace is not None else None)
+            return DeResult(True, p, it, tuple(trace) if trace is not None else None, "target")
         if progress < cfg.stall_eps:
-            return DeResult(False, p, it, tuple(trace) if trace is not None else None)
-    return DeResult(False, p, cfg.max_iters, tuple(trace) if trace is not None else None)
+            return DeResult(False, p, it, tuple(trace) if trace is not None else None, "stall")
+    return DeResult(False, p, cfg.max_iters, tuple(trace) if trace is not None else None, "cap")
 
 
 def de_block_run(

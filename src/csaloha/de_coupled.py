@@ -6,7 +6,6 @@ threshold in offered traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,30 +36,94 @@ class CoupledDeState:
         return float(self.p.max())
 
 
-@lru_cache(maxsize=64)
-def _topo_arrays(topo: CoupledTopology):
-    # 0-indexed position matrix (l, d): row i lists the frames of type i+1
-    frames = np.array(topo.bn_neighbors, dtype=np.int64) - 1
-    delta = np.array(topo.delta, dtype=np.float64)
-    return frames, frames.ravel(), delta
+def _is_circulant(topo: CoupledTopology) -> bool:
+    """True for the circulant chain (m_f = l), False for the terminated one
+    (m_f = l+d-1). Both are chain windows: type i transmits in frames
+    i..i+d-1 mod m_f. Any other topology raises ValueError."""
+    l, d, m_f = topo.l, topo.d, topo.m_f
+    windows = tuple(tuple((i + k) % m_f + 1 for k in range(d)) for i in range(l))
+    if topo.bn_neighbors != windows or not (m_f == l + d - 1 or m_f == l >= d):
+        raise ValueError("coupled DE needs a chain topology: type i transmits in frames i..i+d-1 mod m_f")
+    return m_f != l + d - 1
+
+
+class _CoupledKernel:
+    """The coupled update at one load g, with its constants, scratch buffers
+    and array views set up once, so that a step allocates nothing.
+
+    Type i's k-th frame is i+k (mod m_f), so over all types the k-th frames
+    form the slice p[k:k+l]. On a circulant chain p is stored extended by its
+    first d-1 entries, so the same slices apply, and the messages that wrap
+    past frame l are folded back onto the head. Every product and sum runs in
+    the order of a per-edge scatter that visits the types in increasing
+    order, so the iterates equal that scatter's bit for bit.
+    """
+
+    def __init__(self, topo: CoupledTopology, g: float, p0: np.ndarray | float = 1.0):
+        l, d, m_f = topo.l, topo.d, topo.m_f
+        self.d, self.wrap = d, _is_circulant(topo)
+        self.delta = np.array(topo.delta, dtype=np.float64)
+        self.neg_g_delta = -g * self.delta
+        self.msgs = np.ones((d, l))  # msgs[k, i]: message of type i+1 toward its k-th frame
+        self.q = np.empty(m_f)  # per-position average of the incoming messages
+        q_sum = np.empty(l + d - 1)
+        self._q_sum, self._q_head = q_sum[:m_f], q_sum[: d - 1]
+        self._sums = [q_sum[k : k + l] for k in range(d)]
+        self._folds = [(q_sum[:k], self.msgs[k, l - k :]) for k in range(d - 1, 0, -1)] if self.wrap else []
+        # two p buffers in turn: (p, its d windows, extension tail, head it
+        # repeats); the tail is empty on a terminated chain
+        n_ext = l + d - 1 - m_f
+        bufs = (np.empty(l + d - 1), np.empty(l + d - 1))
+        self._bufs = [(b[:m_f], [b[k : k + l] for k in range(d)], b[m_f:], b[:n_ext]) for b in bufs]
+        self._cur = 0
+        p, _, tail, head = self._bufs[0]
+        np.copyto(p, p0)
+        np.copyto(tail, head)
+        self.p = self.prev = p
+
+    def advance(self) -> None:
+        """One parallel (flooding) update: self.prev becomes the old p, self.p
+        the new one, and self.q the new per-position message average."""
+        d, m = self.d, self.msgs
+        self.prev, w, _, _ = self._bufs[self._cur]
+        self._cur ^= 1
+        p, _, tail, head = self._bufs[self._cur]
+        if d > 1:
+            # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
+            np.copyto(m[1], w[0])
+            for k in range(2, d):
+                np.multiply(m[k - 1], w[k - 1], out=m[k])
+            # ... times suffix products right to left, m[k] *= w[d-1]*...*w[k+1];
+            # the running suffix product is kept in m[0] and ends as its message
+            right = w[d - 1]
+            for k in range(d - 2, 0, -1):
+                m[k] *= right
+                np.multiply(right, w[k], out=m[0])
+                right = m[0]
+            if d == 2:
+                np.copyto(m[0], right)
+        # each frame adds its types in increasing order, i.e. by decreasing k
+        self._q_head.fill(0.0)
+        np.copyto(self._sums[d - 1], m[d - 1])
+        for k in range(d - 2, -1, -1):
+            self._sums[k] += m[k]
+        for fold_head, fold_tail in self._folds:
+            fold_head += fold_tail
+        np.divide(self._q_sum, self.delta, out=self.q)
+        np.multiply(self.neg_g_delta, self.q, out=p)
+        np.expm1(p, out=p)
+        np.negative(p, out=p)
+        if self.wrap:
+            np.copyto(tail, head)
+        self.p = p
 
 
 def de_coupled_step(state: CoupledDeState, topo: CoupledTopology, g: float) -> CoupledDeState:
     """One parallel (flooding) update: all type->frame messages from the
     previous p, then the per-frame uniform average, then the new p."""
-    frames, flat, delta = _topo_arrays(topo)
-    w = state.p[frames]  # (l, d) previous p seen by each type
-    # product over the window excluding each entry, via prefix/suffix products
-    left = np.ones_like(w)
-    np.cumprod(w[:, :-1], axis=1, out=left[:, 1:])
-    right = np.ones_like(w)
-    np.cumprod(w[:, :0:-1], axis=1, out=right[:, -2::-1])
-    q_msgs = left * right
-    q_sum = np.zeros(topo.m_f)
-    np.add.at(q_sum, flat, q_msgs.ravel())
-    q = q_sum / delta
-    p = -np.expm1(-g * delta * q)
-    return CoupledDeState(p=p, q_msgs=q_msgs)
+    kernel = _CoupledKernel(topo, g, state.p)
+    kernel.advance()
+    return CoupledDeState(p=kernel.p, q_msgs=kernel.msgs.T)
 
 
 def de_coupled_run(
@@ -74,22 +137,21 @@ def de_coupled_run(
     final_p is the worst (max) position."""
     if g < 0.0:
         raise ValueError(f"offered traffic must be >= 0, got {g}")
-    state = CoupledDeState.initial(topo)
+    kernel = _CoupledKernel(topo, g)
+    diff = np.empty(topo.m_f)
     trace: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_trace else None
     for it in range(1, cfg.max_iters + 1):
-        new = de_coupled_step(state, topo, g)
+        kernel.advance()
         if trace is not None:
-            q_per_pos = np.zeros(topo.m_f)
-            frames, flat, delta = _topo_arrays(topo)
-            np.add.at(q_per_pos, flat, new.q_msgs.ravel())
-            trace.append((q_per_pos / delta, new.p.copy()))
-        progress = float(np.max(np.abs(state.p - new.p)))
-        state = new
-        if state.max_p <= cfg.target_p:
-            return DeResult(True, state.max_p, it, tuple(trace) if trace is not None else None)
+            trace.append((kernel.q.copy(), kernel.p.copy()))
+        np.subtract(kernel.prev, kernel.p, out=diff)
+        progress = float(np.abs(diff, out=diff).max())
+        max_p = float(kernel.p.max())
+        if max_p <= cfg.target_p:
+            return DeResult(True, max_p, it, tuple(trace) if trace is not None else None, "target")
         if progress < cfg.stall_eps:
-            return DeResult(False, state.max_p, it, tuple(trace) if trace is not None else None)
-    return DeResult(False, state.max_p, cfg.max_iters, tuple(trace) if trace is not None else None)
+            return DeResult(False, max_p, it, tuple(trace) if trace is not None else None, "stall")
+    return DeResult(False, max_p, cfg.max_iters, tuple(trace) if trace is not None else None, "cap")
 
 
 def coupled_threshold(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoupledTopology, rng_stream
+from .core import CoupledTopology, pool_size, rng_stream
 
 
 @dataclass(eq=False)
@@ -328,7 +328,8 @@ def run_trials(
         topo = build_topology(l, d)
 
     ids = list(range(trials))
-    if workers > 1 and trials > 1:
+    workers = pool_size(workers, trials)
+    if workers > 1:
         chunks = np.array_split(ids, min(workers * 4, trials))
         payloads = [
             (scenario, m, d, l, alpha, g, decoder, seed, [int(t) for t in c], topo)

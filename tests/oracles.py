@@ -2,9 +2,12 @@
 
 Everything here is deliberately decoupled from the package under test: the
 threshold/bound constants come from closed-form expressions evaluated in
-mpmath, the decoder oracle enumerates all 2^n candidate vectors, and the
-reference peeler is a plain set-based loop.
+mpmath, the decoder oracle enumerates all 2^n candidate vectors, the reference
+peeler is a plain set-based loop, and the coupled DE step is a plain loop
+over the edges of the topology.
 """
+
+import math
 
 import numpy as np
 
@@ -120,3 +123,22 @@ def brute_force_occupancy(l, d):
         for j in range(i, i + d):
             frames.setdefault(j, []).append(i)
     return frames
+
+
+def coupled_de_step_reference(p, topo, g):
+    """One coupled DE update, edge by edge: the message of type i toward frame
+    j is the product of p over i's other frames, q_j averages the messages
+    arriving at frame j, and p_j' = 1 - exp(-g delta_j q_j). Returns (q, p')
+    as lists over the frames."""
+    q, p_new = [], []
+    for j, types in enumerate(topo.sn_neighbors, start=1):
+        total = 0.0
+        for i in types:
+            msg = 1.0
+            for f in topo.bn_neighbors[i - 1]:
+                if f != j:
+                    msg *= p[f - 1]
+            total += msg
+        q.append(total / len(types))
+        p_new.append(1.0 - math.exp(-g * len(types) * q[-1]))
+    return q, p_new

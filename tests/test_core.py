@@ -113,3 +113,17 @@ def test_rng_stream_pinned_sequence():
         [0.011546754286331562, 0.24154919656271812], abs=0.0
     )
     assert isinstance(rng_stream(0, 0).bit_generator, np.random.Philox)
+
+
+@pytest.mark.parametrize(
+    "requested,tasks,cpus,expect",
+    [(1, 10, 8, 1), (64, 10, 8, 8), (64, 3, 8, 3), (4, 10, 8, 4), (4, 0, 8, 1), (0, 5, 8, 1), (4, 10, None, 1)],
+)
+def test_pool_size_is_clamped(monkeypatch, requested, tasks, cpus, expect):
+    # only the arithmetic: no pool is started
+    import os
+
+    from csaloha.core import pool_size
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pool_size(requested, tasks) == expect

@@ -66,6 +66,19 @@ def test_de_block_trace_monotone_in_unit_interval():
     assert all(0.0 <= q <= 1.0 for q in qs)
 
 
+@pytest.mark.parametrize(
+    "g,max_iters,reason,converged",
+    [(0.5, 100_000, "target", True), (0.9, 100_000, "stall", False), (0.8, 5, "cap", False)],
+)
+def test_de_block_stop_reason(g, max_iters, reason, converged):
+    params = SchemeParams(3)
+    res = de_block_run(params, LoadPoint.from_g(g, params.alpha), BlockDeConfig(max_iters=max_iters))
+    assert res.stop_reason == reason
+    assert res.converged is converged
+    if reason == "cap":
+        assert res.iterations == max_iters
+
+
 def test_de_block_monotone_in_load():
     # convergence region is a prefix of the load axis: justifies bisection
     params = SchemeParams(3)

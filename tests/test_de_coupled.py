@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from csaloha import (
     BlockDeConfig,
     CoupledDeState,
+    CoupledTopology,
     LoadPoint,
     SchemeParams,
     build_circulant_topology,
@@ -14,6 +17,7 @@ from csaloha import (
     de_coupled_step,
     termination_adjusted_load,
 )
+from oracles import coupled_de_step_reference
 
 
 def test_step_zero_profile_is_absorbing():
@@ -96,3 +100,103 @@ def test_coupled_threshold_validation():
 def test_termination_adjusted_load():
     assert termination_adjusted_load(0.9, 200, 3) == pytest.approx(0.9 * 200 / 202)
     assert termination_adjusted_load(0.9, 10**6, 3) == pytest.approx(0.9, abs=1e-5)
+
+
+# (builder, l, d, g, converged, final_p, iterations) at max_iters=20_000, taken
+# from the original scatter-based (np.add.at) step. Exact equality pins what
+# a threshold bisection reads from each probe.
+_PINNED_RUNS = [
+    ("chain", 200, 2, 0.9, False, 0.7324299666367704, 43),
+    ("chain", 200, 2, 0.97, False, 0.7796434231730366, 37),
+    ("chain", 200, 3, 0.9, True, 4.206120279016365e-14, 1766),
+    ("chain", 200, 3, 0.97, False, 0.9103129227140249, 119),
+    ("chain", 200, 3, 0.917, False, 0.8828216252221379, 20000),
+    ("chain", 200, 4, 0.9, True, 1.6615686782796992e-12, 490),
+    ("chain", 200, 4, 0.97, True, 2.469373038027592e-22, 6076),
+    ("chain", 200, 5, 0.95, True, 7.658289040882626e-24, 1012),
+    ("chain", 200, 6, 0.9, True, 3.2102544925542325e-35, 428),
+    ("chain", 200, 6, 0.97, True, 3.003256541155463e-13, 1627),
+    ("chain", 1, 1, 0.05, False, 0.04877057549928599, 2),
+    ("chain", 1, 1, 0.0, True, 0.0, 1),
+    ("chain", 2, 3, 0.9, True, 2.483681129187924e-11, 8),
+    ("chain", 2, 3, 0.5, True, 3.13133899043775e-13, 6),
+    ("circulant", 12, 3, 0.7, True, 1.5316818771643292e-09, 14),
+    ("circulant", 12, 3, 0.9, False, 0.8711270718942645, 50),
+    ("circulant", 12, 4, 0.7, True, 3.576793755500554e-16, 14),
+    ("circulant", 12, 5, 0.65, True, 1.1698390151560632e-22, 14),
+    ("circulant", 9, 6, 0.6, True, 1.5555024399492115e-12, 14),
+]
+
+
+def test_coupled_run_pinned_outcomes():
+    cfg = BlockDeConfig(max_iters=20_000)
+    builders = {"chain": build_topology, "circulant": build_circulant_topology}
+    got = []
+    for kind, l, d, g, *_ in _PINNED_RUNS:
+        res = de_coupled_run(builders[kind](l, d), g, cfg)
+        got.append((kind, l, d, g, res.converged, res.final_p, res.iterations))
+    assert got == _PINNED_RUNS
+    t = coupled_threshold(3, l=30, bisect_tol=1e-3)
+    assert (t.bracket_lo, t.bracket_hi, t.evaluations) == (0.9175781249999999, 0.9181640624999999, 12)
+
+
+# sha256 over every traced (q, p) iterate, as little-endian float64, at
+# max_iters=500, from the same scatter-based step. final_p is a max and often
+# hides a one-ulp change in the order of a sum; these digests do not.
+_PINNED_TRACES = [
+    ("chain", 30, 3, 0.9, "8274fb4cba1da236fb2341ca495e3a5da5be14d63fd3f81c0679b84be60fbc45"),
+    ("chain", 30, 4, 0.95, "00794e4e69ac2cf70382edf5fef03b8a1b9963ad62860273fc3c0cbf40c4d626"),
+    ("chain", 200, 3, 0.917, "b80961d5b0a59c658e8c63ba472d842b1d30823ce8d9dc4a3d7d12ae907b54f3"),
+    ("circulant", 12, 5, 0.65, "73362d63bc708b3e2ea12e7a602829bb8b3ae3cdceb7b7aef310a009312ce112"),
+]
+
+
+def test_coupled_trace_pinned_digests():
+    cfg = BlockDeConfig(max_iters=500)
+    builders = {"chain": build_topology, "circulant": build_circulant_topology}
+    for kind, l, d, g, digest in _PINNED_TRACES:
+        res = de_coupled_run(builders[kind](l, d), g, cfg, record_trace=True)
+        h = hashlib.sha256()
+        for q, p in res.trace:
+            h.update(q.astype("<f8").tobytes())
+            h.update(p.astype("<f8").tobytes())
+        assert h.hexdigest() == digest, (kind, l, d, g)
+
+
+@pytest.mark.parametrize(
+    "topo,g",
+    [(build_topology(30, 4), 0.95), (build_circulant_topology(10, 3), 0.85)],
+    ids=["chain-30-4", "circulant-10-3"],
+)
+def test_run_matches_edge_by_edge_oracle(topo, g):
+    res = de_coupled_run(topo, g, BlockDeConfig(max_iters=20), record_trace=True)
+    assert len(res.trace) == 20
+    prev = [1.0] * topo.m_f
+    for q, p in res.trace:
+        q_ref, p_ref = coupled_de_step_reference(prev, topo, g)
+        assert np.max(np.abs(q - q_ref)) <= 1e-15
+        assert np.max(np.abs(p - p_ref)) <= 1e-15
+        prev = list(p)
+
+
+@pytest.mark.parametrize(
+    "g,max_iters,reason,converged",
+    [(0.9, 100_000, "target", True), (0.95, 100_000, "stall", False), (0.9, 50, "cap", False)],
+)
+def test_run_stop_reason(g, max_iters, reason, converged):
+    res = de_coupled_run(build_topology(200, 3), g, BlockDeConfig(max_iters=max_iters))
+    assert res.stop_reason == reason
+    assert res.converged is converged
+    if reason == "cap":
+        assert res.iterations == max_iters
+
+
+def test_run_rejects_non_chain_topology():
+    # type 1 in frames 1 and 3: a valid topology, but not a chain window
+    topo = CoupledTopology(
+        l=2, d=2, m_f=3, delta=(1, 1, 2), sn_neighbors=((1,), (2,), (1, 2)), bn_neighbors=((1, 3), (2, 3))
+    )
+    with pytest.raises(ValueError, match="chain"):
+        de_coupled_run(topo, 0.5)
+    with pytest.raises(ValueError, match="chain"):
+        de_coupled_step(CoupledDeState.initial(topo), topo, 0.5)
