@@ -43,8 +43,6 @@ from .sim import (
     DecodeReport,
     FrameGraph,
     SimReport,
-    frame_from_text,
-    frame_to_text,
     gje_decode,
     peel,
     run_trials,

@@ -1,13 +1,15 @@
 """Finite-length Monte Carlo machinery: sampled frame graphs, the iterative
-peeling (SIC) decoder, an exact GF(2) Gauss-Jordan decoder used as the
-genie-aided MAP reference, and a trial runner with reproducible per-trial
-random streams.
+peeling (SIC) decoder, an exact GF(2) decoder (peeling plus inactivation)
+used as the genie-aided MAP reference, and a trial runner with reproducible
+per-trial random streams.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,7 @@ class DecodeReport:
     method: str
     peel_iterations: int | None = None
     gje_rank: int | None = None
+    inactivations: int | None = None
 
 
 def sample_block_frame(
@@ -116,78 +119,118 @@ def peel(frame: FrameGraph, slot_order=None) -> DecodeReport:
     unrecovered burst and cancel that burst from all its slots. The recovered
     set does not depend on the resolution order; peel_iterations counts the
     parallel rounds until no degree-1 slot remains."""
-    n = frame.n_active
-    deg = np.zeros(frame.n_slots, dtype=np.int64)
-    acc = np.zeros(frame.n_slots, dtype=np.int64)  # XOR of resident burst ids
-    if n:
-        flat = frame.slots.ravel()
-        np.add.at(deg, flat, 1)
-        np.bitwise_xor.at(acc, flat, np.repeat(np.arange(n, dtype=np.int64), frame.d))
-    order = range(frame.n_slots) if slot_order is None else slot_order
-    frontier = [s for s in order if deg[s] == 1]
-    recovered: set[int] = set()
-    rounds = 0
-    while frontier:
-        rounds += 1
-        next_frontier: list[int] = []
-        for s in frontier:
-            if deg[s] != 1:
-                continue
-            b = int(acc[s])
-            recovered.add(b)
-            for t in frame.slots[b]:
-                deg[t] -= 1
-                acc[t] ^= b
-                if deg[t] == 1:
-                    next_frontier.append(int(t))
-        frontier = next_frontier
-    return DecodeReport(frozenset(recovered), "peeling", peel_iterations=rounds)
+    dec = _decode(frame, slot_order)
+    return DecodeReport(dec.peeled, "peeling", peel_iterations=dec.rounds)
 
 
 def gje_decode(frame: FrameGraph) -> DecodeReport:
-    """Exact reference decoder: reduce the slot-by-burst GF(2) incidence matrix
-    to reduced row-echelon form (bit-packed, word-parallel row XORs). A burst is
-    recovered iff its value is the same in every solution of the linear system,
-    i.e. iff its pivot row has no other one in a free column."""
-    n, m = frame.n_active, frame.n_slots
-    if n == 0:
-        return DecodeReport(frozenset(), "gje", gje_rank=0)
-    words = (n + 63) // 64
-    mat = np.zeros((m, words), dtype=np.uint64)
-    cols = np.repeat(np.arange(n, dtype=np.int64), frame.d)
-    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-    np.bitwise_or.at(mat, (frame.slots.ravel(), cols >> 6), bits)
+    """Exact (genie-aided MAP) decoder. A burst is recovered iff its value is
+    the same in every solution of the slot-by-burst GF(2) system; gje_rank is
+    the rank of that system and inactivations the number of bursts the
+    inactivation decoder had to guess (see _decode)."""
+    dec = _decode(frame, exact=True)
+    return DecodeReport(dec.recovered, "gje", gje_rank=dec.rank, inactivations=dec.k)
 
-    pivot_row_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        w, b = c >> 6, np.uint64(1) << np.uint64(c & 63)
-        nz = np.nonzero(mat[r:, w] & b)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            mat[[r, pr]] = mat[[pr, r]]
-        sel = np.nonzero(mat[:, w] & b)[0]
-        sel = sel[sel != r]
-        if sel.size:
-            mat[sel] ^= mat[r]
-        pivot_row_of_col[c] = r
-        r += 1
-    rank = r
 
-    free_mask = np.zeros(words, dtype=np.uint64)
-    free_cols = np.setdiff1d(np.arange(n), np.fromiter(pivot_row_of_col, dtype=np.int64, count=rank))
-    if free_cols.size:
-        np.bitwise_or.at(
-            free_mask,
-            free_cols >> 6,
-            np.left_shift(np.uint64(1), (free_cols & 63).astype(np.uint64)),
-        )
-    recovered = frozenset(
-        c for c, pr in pivot_row_of_col.items() if not (mat[pr] & free_mask).any()
-    )
-    return DecodeReport(recovered, "gje", gje_rank=rank)
+class _Decoded(NamedTuple):
+    peeled: frozenset[int]
+    rounds: int
+    recovered: frozenset[int] | None = None
+    rank: int | None = None
+    k: int | None = None
+
+
+def _decode(frame: FrameGraph, slot_order=None, exact: bool = False) -> _Decoded:
+    """Peeling, then (if exact) inactivation decoding.
+
+    Peeling runs in parallel rounds from the degree-1 slots. When it stalls
+    and an exact result is asked for, the lowest-numbered unresolved burst of
+    the lowest-numbered minimum-degree slot is inactivated: it becomes the
+    unknown x_j, is cancelled from its slots, and peeling resumes. Every slot
+    and every later-solved burst carries its dependence on x as a bitmask.
+    Once no burst is unresolved, the slots that solved no burst hold the
+    constraints mask . x = known; a burst is recovered iff its mask lies in
+    their span, and the system's rank is n - k + rank(constraints).
+    """
+    n, m, d = frame.n_active, frame.n_slots, frame.d
+    flat = frame.slots.ravel()  # int64 and C-contiguous
+    deg_v = np.bincount(flat, minlength=m).astype(np.int64, copy=False)
+    acc_v = np.zeros(m, dtype=np.int64)  # XOR of resident burst ids
+    np.bitwise_xor.at(acc_v, flat, np.repeat(np.arange(n, dtype=np.int64), d))
+    # the loops index through memoryviews: plain ints, no numpy scalars, no copies
+    rows, deg, acc = memoryview(flat), memoryview(deg_v), memoryview(acc_v)
+    solved = bytearray(n)  # 1 once solved or inactivated
+    smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
+    bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
+
+    if slot_order is None:
+        frontier = np.flatnonzero(deg_v == 1).tolist()
+    else:
+        frontier = [s for s in slot_order if deg[s] == 1]
+    rounds = _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask)
+    peeled = frozenset(compress(range(n), solved))
+    if not exact:
+        return _Decoded(peeled, rounds)
+
+    residents = np.argsort(flat, kind="stable") // d  # burst ids grouped by slot
+    first = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
+    k = 0
+    while (live := np.flatnonzero(deg_v)).size:
+        s = int(live[np.argmin(deg_v[live])])
+        b = next(int(b) for b in residents[first[s] : first[s + 1]] if not solved[b])
+        solved[b] = 1
+        bmask[b] = bit = 1 << k
+        k += 1
+        frontier = []
+        for t in rows[b * d : (b + 1) * d]:
+            deg[t] -= 1
+            acc[t] ^= b
+            smask[t] = smask.get(t, 0) ^ bit
+            if deg[t] == 1:
+                frontier.append(t)
+        _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask)
+
+    # a slot that solved a burst ends with mask 0, so the nonzero masks left
+    # are the constraints; basis maps each leading bit to one echelon row
+    basis: dict[int, int] = {}
+    for v in smask.values():
+        if v := _reduce(v, basis):
+            basis[v.bit_length() - 1] = v
+    lost = {b for b, v in bmask.items() if _reduce(v, basis)}
+    return _Decoded(peeled, rounds, frozenset(range(n)) - lost, n - k + len(basis), k)
+
+
+def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> int:
+    """Resolve degree-1 slots in parallel rounds until none is left; returns
+    the number of rounds. A solved burst inherits its slot's mask."""
+    rounds = 0
+    while frontier:
+        rounds += 1
+        nxt = []
+        for s in frontier:
+            if deg[s] != 1:
+                continue
+            b = acc[s]
+            solved[b] = 1
+            lo = b * d
+            for t in rows[lo : lo + d]:
+                deg[t] -= 1
+                acc[t] ^= b
+                if deg[t] == 1:
+                    nxt.append(t)
+            if smask and (v := smask.get(s)):
+                bmask[b] = v
+                for t in rows[lo : lo + d]:
+                    smask[t] = smask.get(t, 0) ^ v
+        frontier = nxt
+    return rounds
+
+
+def _reduce(v: int, basis: dict[int, int]) -> int:
+    """Reduce the bitmask v by an echelon basis keyed by leading bit."""
+    while v and (r := basis.get(v.bit_length() - 1)):
+        v ^= r
+    return v
 
 
 # ------------------------------------------------------------------ trials
@@ -259,14 +302,12 @@ def _one_trial(scenario, m, d, l, alpha, g, decoder, seed, t, topo):
     else:
         frame = sample_coupled_frame(m, topo, g, rng, alpha)
     gen = frame.n_active
-    run_peel = decoder in ("peeling", "both")
-    run_gje = decoder in ("gje", "both")
-    peel_rec = peel(frame).recovered if run_peel else None
-    gje_rec = gje_decode(frame).recovered if run_gje else None
-    primary = gje_rec if decoder == "gje" else peel_rec
+    exact = decoder != "peeling"
+    dec = _decode(frame, exact=exact)
+    primary = dec.recovered if decoder == "gje" else dec.peeled
     lost = gen - len(primary)
-    gje_lost = gen - len(gje_rec) if run_gje else 0
-    extra = len(gje_rec - peel_rec) if decoder == "both" else 0
+    gje_lost = gen - len(dec.recovered) if exact else 0
+    extra = len(dec.recovered - dec.peeled) if decoder == "both" else 0
     if scenario == "coupled":
         type_gen = np.bincount(frame.user_type, minlength=l + 1)[1:]
         unrec = np.ones(gen, dtype=bool)
@@ -373,30 +414,3 @@ def run_trials(
         report["gje_ci95"] = gje_ci
         report["gje_extra_recovered"] = tuple(int(r[3]) for r in rows)
     return SimReport(**report)
-
-
-# ------------------------------------------------------------- text format
-
-def frame_to_text(frame: FrameGraph) -> str:
-    """Line-based debug form: header 'n_slots n_active d', then one line per
-    burst with its 0-indexed slots. Types of coupled bursts are not part of
-    the schema, so only the graph structure round-trips."""
-    lines = [f"{frame.n_slots} {frame.n_active} {frame.d}"]
-    lines += [" ".join(str(int(s)) for s in row) for row in frame.slots]
-    return "\n".join(lines) + "\n"
-
-
-def frame_from_text(text: str) -> FrameGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty frame text")
-    try:
-        m, n, d = (int(tok) for tok in lines[0].split())
-    except Exception as exc:
-        raise ValueError(f"bad header line {lines[0]!r}") from exc
-    if len(lines) - 1 != n:
-        raise ValueError(f"header promises {n} bursts, found {len(lines) - 1}")
-    slots = np.array(
-        [[int(tok) for tok in ln.split()] for ln in lines[1:]], dtype=np.int64
-    ).reshape(n, d)
-    return FrameGraph(n_slots=m, d=d, slots=slots)

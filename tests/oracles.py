@@ -2,9 +2,10 @@
 
 Everything here is deliberately decoupled from the package under test: the
 threshold/bound constants come from closed-form expressions evaluated in
-mpmath, the decoder oracle enumerates all 2^n candidate vectors, the reference
-peeler is a plain set-based loop, and the coupled DE step is a plain loop
-over the edges of the topology.
+mpmath, the decoder oracles enumerate all 2^n candidate vectors or run a dense
+Gauss-Jordan elimination over the whole system, the reference peeler is a
+plain set-based loop, and the coupled DE step is a plain loop over the edges
+of the topology.
 """
 
 import math
@@ -93,6 +94,52 @@ def enumerate_recoverable(frame, u_true, max_n=16):
     candidates = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     sols = candidates[np.all(candidates @ q.T % 2 == y, axis=1)]
     return frozenset(j for j in range(n) if sols[:, j].min() == sols[:, j].max())
+
+
+def dense_gje_decode(frame):
+    """Dense exact decoder: reduce the whole slot-by-burst GF(2) incidence
+    matrix to reduced row-echelon form (bit-packed, word-parallel row XORs).
+    A burst is recovered iff its pivot row has no other one in a free column.
+    Returns (recovered, rank)."""
+    n, m = frame.n_active, frame.n_slots
+    if n == 0:
+        return frozenset(), 0
+    words = (n + 63) // 64
+    mat = np.zeros((m, words), dtype=np.uint64)
+    cols = np.repeat(np.arange(n, dtype=np.int64), frame.d)
+    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+    np.bitwise_or.at(mat, (frame.slots.ravel(), cols >> 6), bits)
+
+    pivot_row_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        w, b = c >> 6, np.uint64(1) << np.uint64(c & 63)
+        nz = np.nonzero(mat[r:, w] & b)[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            mat[[r, pr]] = mat[[pr, r]]
+        sel = np.nonzero(mat[:, w] & b)[0]
+        sel = sel[sel != r]
+        if sel.size:
+            mat[sel] ^= mat[r]
+        pivot_row_of_col[c] = r
+        r += 1
+    rank = r
+
+    free_mask = np.zeros(words, dtype=np.uint64)
+    free_cols = np.setdiff1d(np.arange(n), np.fromiter(pivot_row_of_col, dtype=np.int64, count=rank))
+    if free_cols.size:
+        np.bitwise_or.at(
+            free_mask,
+            free_cols >> 6,
+            np.left_shift(np.uint64(1), (free_cols & 63).astype(np.uint64)),
+        )
+    recovered = frozenset(
+        c for c, pr in pivot_row_of_col.items() if not (mat[pr] & free_mask).any()
+    )
+    return recovered, rank
 
 
 def naive_peel(frame):

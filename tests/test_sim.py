@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,8 +8,6 @@ import pytest
 from csaloha import (
     FrameGraph,
     build_topology,
-    frame_from_text,
-    frame_to_text,
     gje_decode,
     peel,
     rng_stream,
@@ -15,7 +15,7 @@ from csaloha import (
     sample_block_frame,
     sample_coupled_frame,
 )
-from oracles import enumerate_recoverable, naive_peel
+from oracles import dense_gje_decode, enumerate_recoverable, naive_peel
 
 
 def random_frame(rng, m_max=30, n_max=30, ds=(2, 3, 4)):
@@ -208,6 +208,37 @@ def test_gje_rank_bounded():
         assert gje_decode(f).gje_rank <= min(f.n_slots, f.n_active)
 
 
+def test_gje_matches_dense_oracle():
+    rng = np.random.default_rng(404)
+    frames = [
+        sample_block_frame(int(rng.integers(20, 300)), float(rng.uniform(0.6, 1.2)), d, rng)
+        for d in (2, 3, 4)
+        for _ in range(20)
+    ]
+    topo = build_topology(10, 3)
+    frames += [sample_coupled_frame(60, topo, float(g), rng) for g in np.linspace(0.6, 1.2, 13)]
+    # one frame of the size the sim-exact benchmark decodes
+    frames.append(sample_coupled_frame(200, build_topology(20, 3), 0.9, rng_stream(20, 0)))
+    for f in frames:
+        rep = gje_decode(f)
+        assert (rep.recovered, rep.gje_rank) == dense_gje_decode(f)
+
+
+def test_gje_inactivation_count():
+    # peeling clears the chain, so the exact pass inactivates nothing
+    chain = FrameGraph(n_slots=3, d=2, slots=np.array([[0, 1], [1, 2]]))
+    assert peel(chain).recovered == frozenset({0, 1})
+    assert gje_decode(chain).inactivations == 0
+    assert peel(chain).inactivations is None
+    # the complement rows stop peeling at once: at least one guess is needed
+    rows = FrameGraph(
+        n_slots=4, d=3, slots=np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    )
+    assert gje_decode(rows).inactivations >= 1
+    payload = run_trials("block", m=50, d=3, g=1.0, trials=3, seed=0, decoder="both").to_dict()
+    assert "inactivations" not in payload
+
+
 def test_block_slot_degrees_are_poisson():
     # slot-degree histogram at m=10^4 vs Poisson(g*d), chi-square with known
     # mean; 26.12 is the 99.9% point at 8 degrees of freedom
@@ -236,6 +267,12 @@ def test_run_trials_deterministic_and_worker_invariant():
     assert a == b == c
 
 
+def test_run_trials_coupled_exact_worker_invariant():
+    kw = dict(m=60, d=3, g=0.95, l=10, trials=8, seed=3, decoder="both")
+    one = run_trials("coupled", workers=1, **kw).to_dict()
+    assert one == run_trials("coupled", workers=2, **kw).to_dict()
+
+
 def test_run_trials_both_decoders_ordered():
     rep = run_trials("block", m=300, d=3, g=0.9, trials=30, seed=4, decoder="both")
     assert rep.gje_plr <= rep.plr
@@ -260,28 +297,86 @@ def test_run_trials_validation():
         run_trials("ring", m=50, d=3, g=0.5, trials=5, seed=0)
 
 
-# ------------------------------------------------------------- text format
+# sha256 of json.dumps(run_trials(scenario, seed=s, decoder=dec, **kw).to_dict(),
+# sort_keys=True) for seeds 0, 1, 2, taken before the exact decoder was
+# rewritten: any change of sampling, decoding or aggregation shows here.
+PINNED_PAYLOADS = [
+    ("block", dict(m=300, d=3, g=0.85, trials=12), {
+        "peeling": (
+            "8967c045c536e6127ef63a6fac3d59a638819db00476eed2758802b6efb37c21",
+            "fa39f081e47bd1254991cfc45f7ded84f15f78633ebc2478246ee49ac8c961b7",
+            "91525f0cf72b307f582ba6d3d1488b4170c9efdd901b2538c85c5361f6e35351",
+        ),
+        "gje": (
+            "7c44ccbf27ad4d3ae8f8d3ee15121d0f19923223dcf96437dac9ddce12ffd51a",
+            "932620f294ae14d6f7a42f1595284ca803bba3c5dff60595a72c20ac17635673",
+            "79c5bc74bc6013c3839d5655e32a8480e0bfcd7fbaf0bfd3215b7da4120b2ca6",
+        ),
+        "both": (
+            "799e7fd52453b02a0e8bb73e9acbded93bee2b8f032a9ff0868165b3cad02918",
+            "72c921f34da86c3f37d0338ba5fa9acde3b94250df81712874a2a6acdec417ea",
+            "e9e181fdce24d3d2eab0f45e472794ac847eb5d61e0f6724b8791cde69ce0a18",
+        ),
+    }),
+    ("block", dict(m=120, d=4, g=0.95, trials=12), {
+        "peeling": (
+            "f5ab69fb8e4131719f713b7fb577516838188f91cc224716f8c8b15e7df85427",
+            "b4bbcfb1958342058bf40ab285f137aef73f8a229b19f4a453e1909bfc325a42",
+            "a45fe079ade03e33d7e928416b170f7b565bb5634283afa37e5ee7127aaafbeb",
+        ),
+        "gje": (
+            "ff7df164ddb19327a389686c8e501781e0842bffb10c232f156513a676249166",
+            "9e5bff8becef3731ad0554bbbc0d78701bc4d680d762271c7fe5cfe9e7e4a9f2",
+            "f03b0b7c14f60136919c8b4f0d483ad7cbd496245b1144c866ef16d9a898dd9f",
+        ),
+        "both": (
+            "9b524215f8f15fef4ed5fe17e81210e48d2c1b9dab9c31e4f9969d66c068698e",
+            "43ed439d007f03534774c74edfddb6abe60e9643378e5cf6763ba8ac5b0ae6ed",
+            "c727645c842002a9f4320dffc4b22c563c0acd8946cbf1763661969909ac43f0",
+        ),
+    }),
+    ("coupled", dict(m=60, d=3, g=0.95, trials=6, l=10), {
+        "peeling": (
+            "12750ea092d5cc00b9dd06dd1219ee294cc66e221cdc02fc248841f22068e2b1",
+            "363b9eabfef393b6c8a5ff05d177ec82ff5a55ee22c6e48ebb4a290d590c4b4c",
+            "6b393c42e704fd676a758a5507abeaf9aaf11ff06fcbc6c25860a919cd2c3c69",
+        ),
+        "gje": (
+            "bff7cf800962b3988e225f9366b603a576ca632cb0c7f402d329a64f4c644c04",
+            "7235f81aed01b2ceb1f72f928e0e411881bd5b460d71343b5a57d5cf2ac9eb6b",
+            "e94131074af19401823003cb6647513ec65e0069833febb3bb81bbe8ce65442b",
+        ),
+        "both": (
+            "409f8f8330ff288c87c8473781ca92dd78793aee3885283e3b344b1026b1e620",
+            "02b41fd32085639c9c760291689fc8ccac5a244a591a932ac4e983b054329fb5",
+            "2aa41b2d66758fd28242fc6b3dbca8f03e9be716c95d453ca60fdb1b2b8f6ea0",
+        ),
+    }),
+    ("coupled", dict(m=40, d=4, g=0.9, trials=6, l=12), {
+        "peeling": (
+            "d997469e30492f7c52a10c1948586f18f9b08ece8cc31865dda745619157ffd3",
+            "325f8c2027dd8ebf745254bddbdbc656dcff155c8b37f171827252b15bf57508",
+            "038c06ac8bfee866f1ef1af7a6ed43a70912f94d6bcb07800d3c41bf7e74a8e1",
+        ),
+        "gje": (
+            "ae985d3a808687961de66f85fdd9520bd0c373bb3d3e8f6942916b72c9606728",
+            "6beb8167ce636ec40c918b46636535d617e9350ebbcffd0397c1fc7230c24394",
+            "db1baaeeebd3a0119b1e2d172ef95af759e9180526b8b748f4ad24e12a1bb3a8",
+        ),
+        "both": (
+            "2b2769a02a70dcc1f5bcf48cd50911f3e735a6354c0380cacf3346ccbae7a492",
+            "e08c2e25324b99d3c237db4f79c80c60f7a44d50d04f3bbb00ddd478585aa354",
+            "0251e716e61b4b3ec0f1a9ee058895b9a9bb504654f845192de66dc6223e2217",
+        ),
+    }),
+]
 
-def test_frame_text_round_trip():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        f = random_frame(rng)
-        text = frame_to_text(f)
-        back = frame_from_text(text)
-        assert back.n_slots == f.n_slots and back.d == f.d
-        assert np.array_equal(back.slots, f.slots)
-        assert frame_to_text(back) == text  # byte-exact fixed point
 
+def test_run_trials_pinned_payloads():
+    for scenario, kw, by_decoder in PINNED_PAYLOADS:
+        for decoder, digests in by_decoder.items():
+            for seed, want in enumerate(digests):
+                payload = run_trials(scenario, seed=seed, decoder=decoder, **kw).to_dict()
+                got = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+                assert got == want, (scenario, kw, decoder, seed)
 
-def test_frame_text_example():
-    f = FrameGraph(n_slots=4, d=2, slots=np.array([[0, 1], [1, 3]]))
-    assert frame_to_text(f) == "4 2 2\n0 1\n1 3\n"
-
-
-def test_frame_text_errors():
-    with pytest.raises(ValueError):
-        frame_from_text("")
-    with pytest.raises(ValueError):
-        frame_from_text("4 2 2\n0 1\n")  # burst count mismatch
-    with pytest.raises(ValueError):
-        frame_from_text("nonsense header\n")
