@@ -19,26 +19,14 @@ from .de_block import (
     block_threshold_grid,
     de_block_run,
     efficiency,
-    rho_poisson,
     solve_load_bound,
 )
 from .de_coupled import (
-    CoupledDeState,
     coupled_threshold,
     de_coupled_run,
-    de_coupled_step,
     termination_adjusted_load,
 )
-from .map_bound import (
-    AreaSolutionError,
-    ExtrinsicCurve,
-    adaptive_simpson,
-    extrinsic_p,
-    locate_it_epsilon,
-    map_epsilon_bound,
-    map_load_bound,
-    sample_extrinsic_curve,
-)
+from .map_bound import AreaSolutionError, map_load_bound
 from .sim import (
     DecodeReport,
     FrameGraph,

@@ -61,10 +61,6 @@ class LoadPoint:
     def from_g(cls, g: float, alpha: float) -> "LoadPoint":
         return cls(g=g, epsilon=g / alpha)
 
-    @classmethod
-    def from_epsilon(cls, epsilon: float, alpha: float) -> "LoadPoint":
-        return cls(g=epsilon * alpha, epsilon=epsilon)
-
 
 @dataclass(frozen=True)
 class CoupledTopology:

@@ -5,35 +5,12 @@ threshold in offered traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CoupledTopology, DeResult, ThresholdResult, build_topology
-from .de_block import BlockDeConfig, ThresholdBracketError, bisect_load
+from .de_block import BlockDeConfig, bisect_load
 
 _DEFAULT_CFG = BlockDeConfig()
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledDeState:
-    """One iterate of the coupled recursion.
-
-    p[j] is the erasure probability leaving frame position j+1 (0-indexed
-    array over the m_f positions). q_msgs[i, k] is the message from user type
-    i+1 toward its k-th frame, i.e. toward position bn_neighbors[i][k].
-    """
-
-    p: np.ndarray
-    q_msgs: np.ndarray
-
-    @classmethod
-    def initial(cls, topo: CoupledTopology) -> "CoupledDeState":
-        return cls(p=np.ones(topo.m_f), q_msgs=np.ones((topo.l, topo.d)))
-
-    @property
-    def max_p(self) -> float:
-        return float(self.p.max())
 
 
 def _is_circulant(topo: CoupledTopology) -> bool:
@@ -116,14 +93,6 @@ class _CoupledKernel:
         if self.wrap:
             np.copyto(tail, head)
         self.p = p
-
-
-def de_coupled_step(state: CoupledDeState, topo: CoupledTopology, g: float) -> CoupledDeState:
-    """One parallel (flooding) update: all type->frame messages from the
-    previous p, then the per-frame uniform average, then the new p."""
-    kernel = _CoupledKernel(topo, g, state.p)
-    kernel.advance()
-    return CoupledDeState(p=kernel.p, q_msgs=kernel.msgs.T)
 
 
 def de_coupled_run(

@@ -1,153 +1,69 @@
-"""Upper bound on the genie-aided MAP decoding threshold, via the extrinsic
-erasure curve of the iterative decoder and the area balance: find the largest
-epsilon-bar with  integral of p_e over [epsilon-bar, 1] = nominal rate R0.
+"""Upper bound on the genie-aided MAP decoding threshold, by the area balance
+(Maxwell construction): the largest epsilon-bar with  integral of the
+extrinsic erasure curve p_e over [epsilon-bar, 1] = nominal rate R0.
+
+Along its smooth branch the curve is p_e = q^d at epsilon = u / (d alpha
+q^{d-1}), with u = -ln(1-q), so the integral has a closed form: it equals
+(G(q_1) - G(q-bar)) / alpha with G(q) = q u/d + (1-q) u - q, where q_1 is the
+top fixed point at epsilon = 1. Everything is solved in u, which is
+one-to-one with q and stays finite where q_1 rounds to 1 (q_1 = 1 - e^{-300}
+at d=3, alpha=100).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import SchemeParams
-from .de_block import BlockDeConfig
+from .de_block import bisect_load
 
-# extrinsic fixed points are pushed further than plain DE because the area
-# balance weighs p_e over an interval of length ~R0
-_DEFAULT_CFG = BlockDeConfig(stall_eps=1e-13)
-
-# smallest extrinsic value counted as a genuinely positive fixed point when
-# locating the curve's jump; must sit above the iteration-cap floor (~1e-10)
-_JUMP_FLOOR = 1e-9
+# absolute bisection tolerance in u; near u_1 = d alpha the float spacing
+# ends the search first
+_U_TOL = 1e-15
 
 
 class AreaSolutionError(ArithmeticError):
     """The area under the extrinsic curve is smaller than the nominal rate."""
 
 
-@dataclass(frozen=True)
-class ExtrinsicCurve:
-    """Sampled extrinsic erasure curve: (epsilon, p_e) pairs, epsilon ascending."""
-
-    grid: tuple[tuple[float, float], ...]
-    params: SchemeParams
-
-    def __post_init__(self):
-        eps = [e for e, _ in self.grid]
-        pe = [p for _, p in self.grid]
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon grid must be strictly increasing")
-        if any(not 0.0 <= p <= 1.0 for p in pe):
-            raise ValueError("p_e values must lie in [0,1]")
-        # monotone up to fixed-point truncation noise
-        if any(b < a - 1e-9 for a, b in zip(pe, pe[1:])):
-            raise ValueError("p_e must be non-decreasing in epsilon")
+def _area(u: float, d: int) -> float:
+    """G at q = 1 - e^{-u}. Below u = 0.5 it is summed from its series,
+    d G = sum_{k>=2} (-u)^k (1 - (d-1)(k-1)) / k!, because the closed form
+    cancels there to O(u^3) at d=2."""
+    if u < 0.5:
+        term, total = -u, 0.0
+        for k in range(2, 18):
+            term *= -u / k  # (-u)^k / k!
+            total += term * (1 - (d - 1) * (k - 1))
+        return total / d
+    q = -math.expm1(-u)
+    return q * u / d + math.exp(-u) * u - q
 
 
-def extrinsic_p(params: SchemeParams, epsilon: float, cfg: BlockDeConfig = _DEFAULT_CFG) -> float:
-    """Limit of q_i^d under p_i = eps*q_{i-1}^{d-1}, q_i = 1 - exp(-d_c*p_i), q_0 = 1."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0,1], got {epsilon}")
-    d = params.d
-    dc = params.avg_check_degree
-    q = 1.0
-    for _ in range(cfg.max_iters):
-        q_next = -math.expm1(-dc * epsilon * q ** (d - 1))
-        if abs(q - q_next) < cfg.stall_eps:
-            q = q_next
-            break
-        q = q_next
-    return q**d
+def map_load_bound(params: SchemeParams) -> float:
+    """The bound in offered traffic, alpha * epsilon-bar = u/(d q^{d-1}) at q-bar.
 
-
-def sample_extrinsic_curve(
-    params: SchemeParams, epsilons, cfg: BlockDeConfig = _DEFAULT_CFG
-) -> ExtrinsicCurve:
-    grid = tuple((float(e), extrinsic_p(params, float(e), cfg)) for e in epsilons)
-    return ExtrinsicCurve(grid=grid, params=params)
-
-
-def locate_it_epsilon(
-    params: SchemeParams, cfg: BlockDeConfig = _DEFAULT_CFG, tol: float = 1e-8
-) -> float:
-    """Jump location of the extrinsic curve (the iterative threshold in epsilon),
-    by bisection on whether the fixed point stays above _JUMP_FLOOR."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if extrinsic_p(params, mid, cfg) > _JUMP_FLOOR:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    """Adaptive composite Simpson with Richardson correction, absolute tolerance."""
-    if b <= a:
-        return 0.0
-
-    def panel(fa, fm, fb, width):
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
-    def refine(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = panel(fa, flm, fm, m - a)
-        right = panel(fm, frm, fb, b - m)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return refine(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + refine(
-            m, b, fm, frm, fb, right, 0.5 * tol, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    return refine(a, b, fa, fm, fb, panel(fa, fm, fb, b - a), tol, 0)
-
-
-def map_epsilon_bound(
-    params: SchemeParams, cfg: BlockDeConfig = _DEFAULT_CFG, quad_tol: float = 1e-7
-) -> float:
-    """Solve  integral of p_e over [eps_bar, 1] = R0  for eps_bar.
-
-    The curve is exactly zero below its jump, so the balance reduces to
-    Phi(eps_bar) = s with Phi the area accumulated above the jump and
-    s = (total area above the jump) - R0. When s is within quadrature noise of
-    zero the solution degenerates to the jump location itself (the curve rises
-    continuously from zero there, so the equation pins eps_bar to the jump);
-    s meaningfully below zero means the parameterization admits no solution.
+    The balance reads G(q-bar) = G(q_1) - (alpha - 1), searched above the
+    curve's jump q_jump, the root of q/(1-q) + (d-1) ln(1-q) = 0 (0 for d <= 2,
+    where the curve rises continuously from zero). Raises AreaSolutionError if
+    the area above the jump falls short of R0.
     """
-    r0 = params.nominal_rate
-    cache: dict[float, float] = {}
-
-    def pe(e: float) -> float:
-        if e not in cache:
-            cache[e] = extrinsic_p(params, e, cfg)
-        return cache[e]
-
-    eps_it = locate_it_epsilon(params, cfg)
-    total = adaptive_simpson(pe, eps_it, 1.0, quad_tol)
-    s = total - r0
-    slack = max(100.0 * quad_tol, 1e-6)
-    if s < -slack:
+    d, alpha = params.d, params.alpha
+    top = d * alpha  # u at q = 1 on the epsilon = 1 fixed-point map
+    # below the jump q/(1-q) + (d-1) ln(1-q) < 0, i.e. q < (d-1) u (1-q);
+    # for d <= 2 that never holds, and u_jump = 0
+    u_jump, _, _ = bisect_load(lambda u: -math.expm1(-u) < (d - 1) * u * math.exp(-u), 0.0, top, _U_TOL)
+    # below u_1 the epsilon = 1 map u -> d alpha q^{d-1} lies above u
+    _, u_1, _ = bisect_load(lambda u: u < top * (-math.expm1(-u)) ** (d - 1), u_jump, top, _U_TOL)
+    # G(q_1) - (alpha - 1) written without the cancellation of its two large terms
+    e_1 = math.exp(-u_1)
+    rhs = alpha * math.expm1(d * math.log1p(-e_1)) + e_1 * (u_1 + 1.0)
+    spare = rhs - _area(u_jump, d)
+    if spare < 0.0:
+        r0 = params.nominal_rate
         raise AreaSolutionError(
-            f"area under the extrinsic curve ({total:.9f}) is below the nominal rate {r0:.9f}"
+            f"area under the extrinsic curve ({r0 + spare / alpha:.9f}) is below the nominal rate {r0:.9f}"
         )
-    if s <= slack:
-        return eps_it
-    inner_tol = min(quad_tol, max(1e-3 * s, 1e-12))
-    lo, hi = eps_it, 1.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if adaptive_simpson(pe, eps_it, mid, inner_tol) < s:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def map_load_bound(
-    params: SchemeParams, cfg: BlockDeConfig = _DEFAULT_CFG, quad_tol: float = 1e-7
-) -> float:
-    """The same bound rescaled to offered traffic: alpha * eps_bar."""
-    return params.alpha * map_epsilon_bound(params, cfg, quad_tol)
+    lo, hi, _ = bisect_load(lambda u: _area(u, d) < rhs, u_jump, u_1, _U_TOL)
+    u = 0.5 * (lo + hi)
+    return u / (d * (-math.expm1(-u)) ** (d - 1))

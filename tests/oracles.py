@@ -2,7 +2,8 @@
 
 Everything here is deliberately decoupled from the package under test: the
 threshold/bound constants come from closed-form expressions evaluated in
-mpmath, the decoder oracles enumerate all 2^n candidate vectors or run a dense
+mpmath, the MAP bound is also computed by quadrature of the extrinsic curve,
+the decoder oracles enumerate all 2^n candidate vectors or run a dense
 Gauss-Jordan elimination over the whole system, the reference peeler is a
 plain set-based loop, and the coupled DE step is a plain loop over the edges
 of the topology.
@@ -78,6 +79,80 @@ def regenerate_constants(d):
     qb = bisect(B, qj, 1 - mp.mpf("1e-40"))
     map_bound = float(-mp.log(1 - qb) / (d * qb ** (d - 1)))
     return g_star, block_it, map_bound
+
+
+def extrinsic_p(d, alpha, eps):
+    """Extrinsic erasure curve p_e(eps) = lim q^d under
+    q <- 1 - exp(-d alpha eps q^{d-1}) from q = 1."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"epsilon must lie in [0,1], got {eps}")
+    q = 1.0
+    for _ in range(100_000):
+        q_next = -math.expm1(-d * alpha * eps * q ** (d - 1))
+        done = abs(q - q_next) < 1e-13
+        q = q_next
+        if done:
+            break
+    return q**d
+
+
+def locate_it_epsilon(d, alpha, tol=1e-8):
+    """Jump of the extrinsic curve, by bisection on p_e > 1e-9."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if extrinsic_p(d, alpha, mid) > 1e-9 else (mid, hi)
+    return hi
+
+
+def adaptive_simpson(f, a, b, tol, max_depth=48):
+    """Adaptive composite Simpson with Richardson correction, absolute tolerance."""
+    if b <= a:
+        return 0.0
+
+    def panel(fa, fm, fb, width):
+        return width / 6.0 * (fa + 4.0 * fm + fb)
+
+    def refine(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left, right = panel(fa, flm, fm, m - a), panel(fm, frm, fb, b - m)
+        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return refine(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + refine(
+            m, b, fm, frm, fb, right, 0.5 * tol, depth + 1
+        )
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    return refine(a, b, fa, fm, fb, panel(fa, fm, fb, b - a), tol, 0)
+
+
+def quadrature_map_bound(d, alpha, quad_tol=1e-7):
+    """The area balance by quadrature, in offered traffic: bisect on eps-bar
+    over nested adaptive Simpson integrals of the extrinsic curve until
+    integral of p_e over [eps-bar, 1] = R0. Accurate to ~1e-7 where the area
+    above the jump exceeds R0 by far more than quad_tol; a spare area below
+    1e-5 is read as zero (bound at the jump)."""
+    r0 = 1.0 - 1.0 / alpha
+    cache = {}
+
+    def pe(eps):
+        if eps not in cache:
+            cache[eps] = extrinsic_p(d, alpha, eps)
+        return cache[eps]
+
+    eps_it = locate_it_epsilon(d, alpha)
+    spare = adaptive_simpson(pe, eps_it, 1.0, quad_tol) - r0
+    if spare < -1e-5:
+        raise ArithmeticError("area under the extrinsic curve is below the nominal rate")
+    if spare <= 1e-5:
+        return alpha * eps_it
+    inner_tol = min(quad_tol, max(1e-3 * spare, 1e-12))
+    lo, hi = eps_it, 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if adaptive_simpson(pe, eps_it, mid, inner_tol) < spare else (lo, mid)
+    return alpha * 0.5 * (lo + hi)
 
 
 def enumerate_recoverable(frame, u_true, max_n=16):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,17 @@ def test_sweep_row_matches_library(capsys):
 def test_thresholds_d_max_guard(capsys):
     rc, _, err = run_cli(capsys, "thresholds", "--d-max", "9")
     assert rc == 2 and "d-max" in err
+
+
+def test_thresholds_tolerance_below_float_spacing(capsys):
+    # each bisection stops at adjacent floats instead of looping forever
+    t0 = time.monotonic()
+    rc, out, _ = run_cli(
+        capsys, "thresholds", "--d-max", "2", "--l", "20", "--tol", "1e-20", "--max-iters", "200"
+    )
+    assert rc == 0 and time.monotonic() - t0 < 10.0
+    vals = out.strip().splitlines()[1].split(",")
+    assert float(vals[3]) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_thresholds_small_table(capsys):

@@ -28,8 +28,6 @@ def test_scheme_params_rejects_bad_values(d, alpha):
 def test_load_point_constructors():
     lp = LoadPoint.from_g(0.8, alpha=100.0)
     assert lp.epsilon == pytest.approx(0.008, abs=1e-15)
-    lp = LoadPoint.from_epsilon(0.008, alpha=100.0)
-    assert lp.g == pytest.approx(0.8, abs=1e-15)
     with pytest.raises(ValueError):
         LoadPoint(g=-0.1, epsilon=0.0)
     with pytest.raises(ValueError):
@@ -127,3 +125,21 @@ def test_pool_size_is_clamped(monkeypatch, requested, tasks, cpus, expect):
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert pool_size(requested, tasks) == expect
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark in perfbench/ calls the package only through the names it
+    # imports from csaloha; losing one would fail every benchmark operation
+    import ast
+    from pathlib import Path
+
+    import csaloha
+
+    names = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "csaloha":
+                names.setdefault(path.name, []).extend(alias.name for alias in node.names)
+    assert {"workloads.py", "run.py"} <= names.keys()
+    missing = {f: [n for n in ns if not hasattr(csaloha, n)] for f, ns in names.items()}
+    assert not any(missing.values()), missing

@@ -10,31 +10,10 @@ from csaloha import (
     block_threshold_grid,
     de_block_run,
     efficiency,
-    rho_poisson,
     solve_load_bound,
 )
+from csaloha.de_block import bisect_load
 from oracles import BLOCK_IT, G_STAR
-
-
-def test_rho_poisson_values():
-    assert rho_poisson(1.0, 0.37, 5) == 1.0
-    assert rho_poisson(0.0, 1.0, 1) == pytest.approx(0.36787944117144232, abs=1e-15)
-    assert rho_poisson(0.5, 0.8184, 3) == pytest.approx(0.29299492234376354, abs=1e-15)
-
-
-def test_rho_poisson_monotone_and_bounded():
-    vals = [rho_poisson(x / 50, 0.9, 3) for x in range(51)]
-    assert all(0.0 < v <= 1.0 for v in vals)
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_rho_poisson_rejects():
-    with pytest.raises(ValueError):
-        rho_poisson(-0.1, 1.0, 2)
-    with pytest.raises(ValueError):
-        rho_poisson(1.1, 1.0, 2)
-    with pytest.raises(ValueError):
-        rho_poisson(0.5, -1.0, 2)
 
 
 def test_de_block_run_converges_below_threshold():
@@ -99,7 +78,24 @@ def test_block_threshold_matches_analytic_min(d):
 
 
 def test_block_threshold_cross_check_agrees():
-    block_threshold(3, cross_check=True)  # raises on disagreement
+    # the bisection and the analytic grid condition are two routes to one threshold
+    assert abs(block_threshold(3).threshold - block_threshold_grid(3)) <= 1e-4
+
+
+def test_bisect_load_stops_at_adjacent_floats():
+    # a tolerance below the float spacing ends with hi the float right after lo
+    lo, hi, _ = bisect_load(lambda x: x < 0.3, 0.0, 1.0, 1e-20)
+    assert hi == math.nextafter(lo, 2.0) and lo < 0.3 <= hi
+    res = block_threshold(3, bisect_tol=1e-17)
+    assert res.bracket_hi == math.nextafter(res.bracket_lo, 2.0)
+    assert res.threshold == pytest.approx(BLOCK_IT[3], abs=1e-4)
+
+
+def test_bisect_load_probe_order():
+    # the upper end first, then midpoints: the order the benchmark replays
+    probes = []
+    bisect_load(lambda x: probes.append(x) or x < 0.3, 0.0, 1.2, 0.2)
+    assert probes == [1.2, 0.6, 0.3, 0.15]
 
 
 def test_block_threshold_rejects_degree_one():

@@ -5,7 +5,6 @@ import pytest
 
 from csaloha import (
     BlockDeConfig,
-    CoupledDeState,
     CoupledTopology,
     LoadPoint,
     SchemeParams,
@@ -14,29 +13,30 @@ from csaloha import (
     coupled_threshold,
     de_block_run,
     de_coupled_run,
-    de_coupled_step,
     termination_adjusted_load,
 )
+from csaloha.de_coupled import _CoupledKernel
 from oracles import coupled_de_step_reference
 
 
 def test_step_zero_profile_is_absorbing():
     topo = build_topology(5, 3)
-    state = CoupledDeState(p=np.zeros(topo.m_f), q_msgs=np.zeros((topo.l, topo.d)))
-    out = de_coupled_step(state, topo, g=0.9)
-    assert np.all(out.q_msgs == 0.0)
-    assert np.all(out.p == 0.0)
+    kernel = _CoupledKernel(topo, 0.9, np.zeros(topo.m_f))
+    kernel.advance()
+    assert np.all(kernel.msgs == 0.0)
+    assert np.all(kernel.p == 0.0)
 
 
 def test_step_all_ones_interior_and_boundary():
     # from the all-ones profile every message is 1, so position j sees
     # p_j = 1 - exp(-g * delta_j)
     topo = build_topology(200, 3)
-    out = de_coupled_step(CoupledDeState.initial(topo), topo, g=0.9)
-    assert np.all(out.q_msgs == 1.0)
-    assert out.p[100] == pytest.approx(0.93279448726025023, abs=1e-15)  # delta=3
-    assert out.p[0] == pytest.approx(0.59343034025940089, abs=1e-15)  # delta=1
-    assert np.all((out.p >= 0.0) & (out.p <= 1.0))
+    kernel = _CoupledKernel(topo, 0.9)
+    kernel.advance()
+    assert np.all(kernel.msgs == 1.0)
+    assert kernel.p[100] == pytest.approx(0.93279448726025023, abs=1e-15)  # delta=3
+    assert kernel.p[0] == pytest.approx(0.59343034025940089, abs=1e-15)  # delta=1
+    assert np.all((kernel.p >= 0.0) & (kernel.p <= 1.0))
 
 
 def test_run_spatial_symmetry_and_monotonicity():
@@ -198,5 +198,3 @@ def test_run_rejects_non_chain_topology():
     )
     with pytest.raises(ValueError, match="chain"):
         de_coupled_run(topo, 0.5)
-    with pytest.raises(ValueError, match="chain"):
-        de_coupled_step(CoupledDeState.initial(topo), topo, 0.5)

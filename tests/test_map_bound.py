@@ -3,19 +3,16 @@ import math
 import pytest
 
 import csaloha.map_bound as mb
-from csaloha import (
-    AreaSolutionError,
-    BlockDeConfig,
-    ExtrinsicCurve,
-    SchemeParams,
+from csaloha import AreaSolutionError, SchemeParams, map_load_bound
+from oracles import (
+    BLOCK_IT,
+    MAP_BOUND,
     adaptive_simpson,
     extrinsic_p,
     locate_it_epsilon,
-    map_epsilon_bound,
-    map_load_bound,
-    sample_extrinsic_curve,
+    quadrature_map_bound,
+    regenerate_constants,
 )
-from oracles import BLOCK_IT, MAP_BOUND, regenerate_constants
 
 
 def test_frozen_constants_regenerate():
@@ -25,45 +22,33 @@ def test_frozen_constants_regenerate():
         assert map_bound == pytest.approx(MAP_BOUND[d], abs=1e-12)
 
 
+# the quadrature oracle's parts: the extrinsic curve, its jump, and Simpson
+
+
 def test_extrinsic_p_zero_input():
-    assert extrinsic_p(SchemeParams(3), 0.0) == 0.0
+    assert extrinsic_p(3, 100.0, 0.0) == 0.0
 
 
 def test_extrinsic_p_saturates_at_full_load():
-    assert extrinsic_p(SchemeParams(3), 1.0) >= 1.0 - 1e-10
+    assert extrinsic_p(3, 100.0, 1.0) >= 1.0 - 1e-10
 
 
 def test_extrinsic_p_vanishes_below_it_threshold():
-    params = SchemeParams(3)
     eps_it = BLOCK_IT[3] / 100.0
-    assert extrinsic_p(params, eps_it * 0.999) <= 1e-8
-    assert extrinsic_p(params, eps_it * 1.01) > 0.3  # jumps to the upper branch
+    assert extrinsic_p(3, 100.0, eps_it * 0.999) <= 1e-8
+    assert extrinsic_p(3, 100.0, eps_it * 1.01) > 0.3  # jumps to the upper branch
 
 
 def test_extrinsic_p_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        extrinsic_p(SchemeParams(3), -0.1)
+        extrinsic_p(3, 100.0, -0.1)
     with pytest.raises(ValueError):
-        extrinsic_p(SchemeParams(3), 1.1)
-
-
-def test_extrinsic_curve_sampling_and_validation():
-    params = SchemeParams(3)
-    eps = [0.001 * k for k in range(1, 40)]
-    curve = sample_extrinsic_curve(params, eps)
-    pes = [p for _, p in curve.grid]
-    assert all(b >= a - 1e-9 for a, b in zip(pes, pes[1:]))
-    with pytest.raises(ValueError):
-        ExtrinsicCurve(grid=((0.2, 0.1), (0.1, 0.2)), params=params)
-    with pytest.raises(ValueError):
-        ExtrinsicCurve(grid=((0.1, 0.9), (0.2, 0.1)), params=params)
-    with pytest.raises(ValueError):
-        ExtrinsicCurve(grid=((0.1, 1.7),), params=params)
+        extrinsic_p(3, 100.0, 1.1)
 
 
 def test_locate_it_epsilon_matches_block_threshold():
-    assert locate_it_epsilon(SchemeParams(3)) == pytest.approx(BLOCK_IT[3] / 100.0, abs=1e-7)
-    assert locate_it_epsilon(SchemeParams(4)) == pytest.approx(BLOCK_IT[4] / 100.0, abs=1e-7)
+    assert locate_it_epsilon(3, 100.0) == pytest.approx(BLOCK_IT[3] / 100.0, abs=1e-7)
+    assert locate_it_epsilon(4, 100.0) == pytest.approx(BLOCK_IT[4] / 100.0, abs=1e-7)
 
 
 def test_adaptive_simpson_known_integrals():
@@ -75,17 +60,37 @@ def test_adaptive_simpson_known_integrals():
     assert adaptive_simpson(lambda x: 1.0, 1.0, 0.5, 1e-9) == 0.0  # empty interval
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+# the closed-form balance
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_map_load_bound_matches_closed_form(d):
-    assert map_load_bound(SchemeParams(d, 100.0)) == pytest.approx(MAP_BOUND[d], abs=5e-5)
+    # at these alpha the balance is alpha-free to far below float precision
+    for alpha in (100.0, 200.0):
+        assert map_load_bound(SchemeParams(d, alpha)) == pytest.approx(MAP_BOUND[d], abs=1e-8)
 
 
 def test_map_epsilon_bound_scales_as_inverse_alpha():
-    # the bound in G is alpha-robust: doubling alpha moves it by < 1e-3
-    g100 = map_load_bound(SchemeParams(3, 100.0))
-    g200 = map_load_bound(SchemeParams(3, 200.0))
-    assert abs(g100 - g200) < 1e-3
-    assert map_epsilon_bound(SchemeParams(3, 200.0)) == pytest.approx(g200 / 200.0, abs=1e-12)
+    # the bound in G is alpha-free at large alpha, so eps-bar = G/alpha scales as 1/alpha
+    for d in (3, 4, 5, 6):
+        assert abs(map_load_bound(SchemeParams(d, 100.0)) - map_load_bound(SchemeParams(d, 200.0))) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1.5, 5.0])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_map_load_bound_matches_quadrature(d, alpha):
+    assert map_load_bound(SchemeParams(d, alpha)) == pytest.approx(quadrature_map_bound(d, alpha), abs=1e-7)
+
+
+def test_map_load_bound_small_spare_area():
+    # at d=2 the curve rises continuously from its jump at G=1/2; at alpha=5 the
+    # area above the jump exceeds R0 by ~9e-6, which moves the bound to
+    # 0.5209881 (an mpmath integral of the curve from there gives R0 = 0.8)
+    assert map_load_bound(SchemeParams(2, 5.0)) == pytest.approx(0.5209881, abs=1e-7)
+
+
+def test_map_load_bound_degree_one_is_zero():
+    assert map_load_bound(SchemeParams(1, 100.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_map_bound_orderings():
@@ -98,12 +103,7 @@ def test_map_bound_orderings():
 
 
 def test_area_solution_error_signaled(monkeypatch):
-    # a curve whose area cannot reach the nominal rate must be rejected
-    monkeypatch.setattr(mb, "extrinsic_p", lambda params, e, cfg=None: 0.1 if e > 0.5 else 0.0)
+    # a balance whose area above the jump cannot reach the nominal rate must be rejected
+    monkeypatch.setattr(mb, "_area", lambda u, d: 1.0)
     with pytest.raises(AreaSolutionError):
-        mb.map_epsilon_bound(SchemeParams(3, 100.0))
-
-
-def test_map_bound_accepts_custom_config():
-    cfg = BlockDeConfig(stall_eps=1e-13, max_iters=50_000)
-    assert map_load_bound(SchemeParams(3, 100.0), cfg) == pytest.approx(MAP_BOUND[3], abs=2e-4)
+        mb.map_load_bound(SchemeParams(3, 100.0))
