@@ -3,11 +3,9 @@ analysis (density evolution, MAP bound, load bound) and finite-length Monte
 Carlo simulation, for block frames and spatially-coupled super-frames."""
 
 from .core import (
-    CoupledTopology,
     DeResult,
     LoadPoint,
     SchemeParams,
-    ThresholdResult,
     build_circulant_topology,
     build_topology,
     rng_stream,
@@ -28,7 +26,6 @@ from .de_coupled import (
 )
 from .map_bound import AreaSolutionError, map_load_bound
 from .sim import (
-    DecodeReport,
     FrameGraph,
     SimReport,
     gje_decode,

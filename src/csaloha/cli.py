@@ -22,9 +22,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from .core import SchemeParams, pool_size
+from .core import SchemeParams, pool_map
 from .de_block import (
     BlockDeConfig,
     ThresholdBracketError,
@@ -48,43 +47,42 @@ def _workers() -> int:
         raise ValueError(f"CSA_THREADS must be an integer, got {raw!r}")
 
 
-def _threshold_row(task):
-    d, l, alpha, block_tol, coupled_tol, max_iters = task
-    cfg = BlockDeConfig(max_iters=max_iters) if max_iters else BlockDeConfig()
-    g_block = block_threshold(d, cfg, block_tol).threshold
-    g_coupled = coupled_threshold(d, l, cfg, coupled_tol).threshold
-    g_map = map_load_bound(SchemeParams(d, alpha))
+def _row(task) -> dict:
+    """Every column of a thresholds or sweep row for one degree."""
+    d, l, alpha, tol, max_iters = task
+    cfg = BlockDeConfig() if max_iters is None else BlockDeConfig(max_iters=max_iters)
+    g_block = block_threshold(d, cfg, 1e-5 if tol is None else tol).threshold
+    g_coupled = coupled_threshold(d, l, cfg, 1e-4 if tol is None else tol).threshold
     g_star = solve_load_bound(1.0 / d)
-    return [d, g_block, g_coupled, g_map, g_star, efficiency(g_coupled, g_star)]
+    return {
+        "d": d,
+        "rate": 1.0 / d,
+        "g_it_block": g_block,
+        "g_it_coupled": g_coupled,
+        "g_map_bound": map_load_bound(SchemeParams(d, alpha)),
+        "g_star": g_star,
+        "efficiency": efficiency(g_coupled, g_star),
+    }
 
 
-def _sweep_row(task):
-    d, l, block_tol, coupled_tol, max_iters = task
-    cfg = BlockDeConfig(max_iters=max_iters) if max_iters else BlockDeConfig()
-    g_block = block_threshold(d, cfg, block_tol).threshold
-    g_coupled = coupled_threshold(d, l, cfg, coupled_tol).threshold
-    return [1.0 / d, g_block, g_coupled, solve_load_bound(1.0 / d)]
-
-
-def _map_rows(fn, tasks, workers):
-    workers = pool_size(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+def _table(args, cols, ds, alpha) -> int:
+    tasks = [(d, args.l, alpha, args.tol, args.max_iters) for d in ds]
+    rows = pool_map(_row, tasks, _workers())
+    _write(_emit_table(cols, rows, args), args.out)
+    return 0
 
 
 def _emit_table(cols, rows, args) -> str:
     if not rows:
         return ""
     if args.format == "json":
-        payload = [dict(zip(cols, row)) for row in rows]
+        payload = [{c: row[c] for c in cols} for row in rows]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([_fmt(row[c]) for c in cols])
     return buf.getvalue()
 
 
@@ -114,24 +112,15 @@ def _cmd_bound(args) -> int:
 def _cmd_thresholds(args) -> int:
     if not 2 <= args.d_max <= 8:
         raise ValueError(f"d-max must lie in 2..8, got {args.d_max}")
-    block_tol = args.tol if args.tol else 1e-5
-    coupled_tol = args.tol if args.tol else 1e-4
-    tasks = [(d, args.l, args.alpha, block_tol, coupled_tol, args.max_iters) for d in range(2, args.d_max + 1)]
-    rows = _map_rows(_threshold_row, tasks, _workers())
-    _write(_emit_table(_THRESH_COLS, rows, args), args.out)
-    return 0
+    return _table(args, _THRESH_COLS, range(2, args.d_max + 1), args.alpha)
 
 
 def _cmd_sweep(args) -> int:
     ds = [int(tok) for tok in args.d_list.split(",") if tok.strip()]
     if any(d < 2 for d in ds):
         raise ValueError(f"sweep needs degrees >= 2, got {ds}")
-    block_tol = args.tol if args.tol else 1e-5
-    coupled_tol = args.tol if args.tol else 1e-4
-    tasks = [(d, args.l, block_tol, coupled_tol, args.max_iters) for d in ds]
-    rows = _map_rows(_sweep_row, tasks, _workers())
-    _write(_emit_table(_SWEEP_COLS, rows, args), args.out)
-    return 0
+    # sweep has no --alpha; its rows take the thresholds default, alpha = 100
+    return _table(args, _SWEEP_COLS, ds, 100.0)
 
 
 def _cmd_simulate(args) -> int:

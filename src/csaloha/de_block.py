@@ -28,7 +28,7 @@ class BlockDeConfig:
     counted as a failure, and the estimated threshold is biased low. For
     coupled DE that bias can exceed the bisection tolerance: at d=3, l=200,
     three probes hit the 1e5 cap, and the coupled threshold lands 3.2e-4
-    below the MAP bound with a tolerance of 1e-4 (ROADMAP item 2).
+    below the MAP bound with a tolerance of 1e-4 (ROADMAP item 1).
     """
 
     target_p: float = 1e-8

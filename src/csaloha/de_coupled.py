@@ -13,17 +13,6 @@ from .de_block import BlockDeConfig, bisect_load
 _DEFAULT_CFG = BlockDeConfig()
 
 
-def _is_circulant(topo: CoupledTopology) -> bool:
-    """True for the circulant chain (m_f = l), False for the terminated one
-    (m_f = l+d-1). Both are chain windows: type i transmits in frames
-    i..i+d-1 mod m_f. Any other topology raises ValueError."""
-    l, d, m_f = topo.l, topo.d, topo.m_f
-    windows = tuple(tuple((i + k) % m_f + 1 for k in range(d)) for i in range(l))
-    if topo.bn_neighbors != windows or not (m_f == l + d - 1 or m_f == l >= d):
-        raise ValueError("coupled DE needs a chain topology: type i transmits in frames i..i+d-1 mod m_f")
-    return m_f != l + d - 1
-
-
 class _CoupledKernel:
     """The coupled update at one load g, with its constants, scratch buffers
     and array views set up once, so that a step allocates nothing.
@@ -38,7 +27,7 @@ class _CoupledKernel:
 
     def __init__(self, topo: CoupledTopology, g: float, p0: np.ndarray | float = 1.0):
         l, d, m_f = topo.l, topo.d, topo.m_f
-        self.d, self.wrap = d, _is_circulant(topo)
+        self.d, self.wrap = d, topo.wrap
         self.delta = np.array(topo.delta, dtype=np.float64)
         self.neg_g_delta = -g * self.delta
         self.msgs = np.ones((d, l))  # msgs[k, i]: message of type i+1 toward its k-th frame

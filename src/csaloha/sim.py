@@ -6,14 +6,13 @@ per-trial random streams.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CoupledTopology, pool_size, rng_stream
+from .core import CoupledTopology, build_topology, pool_map, pool_size, rng_stream
 
 
 @dataclass(eq=False)
@@ -88,14 +87,15 @@ def sample_coupled_frame(
     m: int, topo: CoupledTopology, g: float, rng: np.random.Generator, alpha: float | None = None
 ) -> FrameGraph:
     """Draw one super-frame: type-i bursts place one uniform slot in each of
-    frames i..i+d-1; the last d-1 frames carry only copies."""
+    frames i..i+d-1 (mod m_f); on the terminated chain the last d-1 frames
+    carry only copies."""
     if m < 1:
         raise ValueError(f"need at least one slot per frame, got {m}")
     if g < 0.0:
         raise ValueError(f"offered traffic must be >= 0, got {g}")
     counts = np.array([_draw_active(rng, g, m, alpha) for _ in range(topo.l)])
     n = int(counts.sum())
-    frame_of_type = np.array(topo.bn_neighbors, dtype=np.int64) - 1  # (l, d)
+    frame_of_type = (np.arange(topo.l)[:, None] + np.arange(topo.d)) % topo.m_f  # (l, d)
     offsets = np.repeat(frame_of_type * m, counts, axis=0)  # (n, d)
     in_frame = rng.integers(0, m, size=(n, topo.d), dtype=np.int64)
     types = np.repeat(np.arange(1, topo.l + 1), counts)
@@ -268,30 +268,13 @@ class SimReport:
     gje_extra_recovered: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "decoder": self.decoder,
-            "trials": self.trials,
-            "offered_g": self.offered_g,
-            "m": self.m,
-            "d": self.d,
-            "seed": self.seed,
-            "n_bursts": self.n_bursts,
-            "n_lost": self.n_lost,
-            "plr": self.plr,
-            "ci95": self.ci95,
-        }
-        if self.l is not None:
-            out["l"] = self.l
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.per_position_plr is not None:
-            out["per_position_plr"] = list(self.per_position_plr)
-        if self.gje_plr is not None:
-            out["gje_n_lost"] = self.gje_n_lost
-            out["gje_plr"] = self.gje_plr
-            out["gje_ci95"] = self.gje_ci95
-            out["gje_extra_recovered_total"] = int(sum(self.gje_extra_recovered))
+        """The fields that are set, with per_position_plr as a list and
+        gje_extra_recovered as its total."""
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        if "per_position_plr" in out:
+            out["per_position_plr"] = list(out["per_position_plr"])
+        if "gje_extra_recovered" in out:
+            out["gje_extra_recovered_total"] = int(sum(out.pop("gje_extra_recovered")))
         return out
 
 
@@ -364,23 +347,12 @@ def run_trials(
     if scenario == "coupled":
         if l is None:
             raise ValueError("coupled runs need the chain length l")
-        from .core import build_topology
-
         topo = build_topology(l, d)
 
-    ids = list(range(trials))
-    workers = pool_size(workers, trials)
-    if workers > 1:
-        chunks = np.array_split(ids, min(workers * 4, trials))
-        payloads = [
-            (scenario, m, d, l, alpha, g, decoder, seed, [int(t) for t in c], topo)
-            for c in chunks
-            if len(c)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for batch in pool.map(_trial_batch, payloads) for row in batch]
-    else:
-        rows = _trial_batch((scenario, m, d, l, alpha, g, decoder, seed, ids, topo))
+    # four chunks per worker, so that a slow chunk does not hold up the rest
+    chunks = np.array_split(np.arange(trials), min(4 * pool_size(workers, trials), trials))
+    payloads = [(scenario, m, d, l, alpha, g, decoder, seed, c.tolist(), topo) for c in chunks]
+    rows = [row for batch in pool_map(_trial_batch, payloads, workers) for row in batch]
 
     gen = np.array([r[0] for r in rows], dtype=np.int64)
     lost = np.array([r[1] for r in rows], dtype=np.int64)

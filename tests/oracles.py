@@ -6,7 +6,7 @@ mpmath, the MAP bound is also computed by quadrature of the extrinsic curve,
 the decoder oracles enumerate all 2^n candidate vectors or run a dense
 Gauss-Jordan elimination over the whole system, the reference peeler is a
 plain set-based loop, and the coupled DE step is a plain loop over the edges
-of the topology.
+that the access rule defines.
 """
 
 import math
@@ -237,27 +237,35 @@ def naive_peel(frame):
                 residents[int(t)].discard(j)
 
 
-def brute_force_occupancy(l, d):
-    """Which user types transmit in each frame, straight from the access rule:
-    a type-i user transmits in its own frame and each of the following d-1."""
+def access_frames(i, l, d, wrap=False):
+    """The access rule: a type-i user transmits in its own frame and each of
+    the following d-1, with frame numbers taken mod l (frames 1..l) when the
+    chain wraps."""
+    return [(j - 1) % l + 1 if wrap else j for j in range(i, i + d)]
+
+
+def brute_force_occupancy(l, d, wrap=False):
+    """Which user types transmit in each frame, straight from the access rule."""
     frames = {}
     for i in range(1, l + 1):
-        for j in range(i, i + d):
+        for j in access_frames(i, l, d, wrap):
             frames.setdefault(j, []).append(i)
     return frames
 
 
-def coupled_de_step_reference(p, topo, g):
-    """One coupled DE update, edge by edge: the message of type i toward frame
-    j is the product of p over i's other frames, q_j averages the messages
-    arriving at frame j, and p_j' = 1 - exp(-g delta_j q_j). Returns (q, p')
-    as lists over the frames."""
+def coupled_de_step_reference(p, l, d, g, wrap=False):
+    """One coupled DE update, edge by edge, over the edges of the access rule:
+    the message of type i toward frame j is the product of p over i's other
+    frames, q_j averages the messages arriving at frame j, and
+    p_j' = 1 - exp(-g delta_j q_j). Returns (q, p') as lists over the frames."""
+    occupancy = brute_force_occupancy(l, d, wrap)
     q, p_new = [], []
-    for j, types in enumerate(topo.sn_neighbors, start=1):
+    for j in range(1, len(occupancy) + 1):
+        types = occupancy[j]
         total = 0.0
         for i in types:
             msg = 1.0
-            for f in topo.bn_neighbors[i - 1]:
+            for f in access_frames(i, l, d, wrap):
                 if f != j:
                     msg *= p[f - 1]
             total += msg

@@ -66,6 +66,36 @@ def test_thresholds_tolerance_below_float_spacing(capsys):
     assert float(vals[3]) == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "command", [["thresholds", "--d-max", "2"], ["sweep", "--d-list", "2"]], ids=["thresholds", "sweep"]
+)
+@pytest.mark.parametrize("flag", ["--tol", "--max-iters"])
+def test_zero_override_is_a_parameter_error(capsys, command, flag):
+    # a zero is an override like any other, not a request for the default
+    rc, out, err = run_cli(capsys, *command, "--l", "10", flag, "0")
+    assert rc == 2 and out == "" and "parameter error" in err
+
+
+def test_thresholds_table_does_not_depend_on_worker_count(capsys, monkeypatch):
+    argv = ["thresholds", "--d-max", "3", "--l", "20", "--tol", "1e-3"]
+    rc1, out1, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("CSA_THREADS", "2")
+    rc2, out2, _ = run_cli(capsys, *argv)
+    assert rc1 == rc2 == 0 and out1 == out2
+
+
+def test_sweep_rows_equal_thresholds_rows(capsys):
+    argv = ["--l", "20", "--tol", "1e-3"]
+    _, sweep, _ = run_cli(capsys, "sweep", "--d-list", "2,3", *argv)
+    _, table, _ = run_cli(capsys, "thresholds", "--d-max", "3", *argv)
+    # sweep: rate,g_it_block,g_it_coupled,g_star; thresholds: d,g_it_block,g_it_coupled,g_map_bound,g_star,...
+    sweep_rows = [r.split(",") for r in sweep.strip().splitlines()[1:]]
+    table_rows = [r.split(",") for r in table.strip().splitlines()[1:]]
+    assert len(sweep_rows) == len(table_rows) == 2
+    for s, t in zip(sweep_rows, table_rows):
+        assert s[1:] == [t[1], t[2], t[4]]
+
+
 def test_thresholds_small_table(capsys):
     rc, out, _ = run_cli(
         capsys, "thresholds", "--d-max", "2", "--l", "40", "--tol", "1e-3"

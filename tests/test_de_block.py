@@ -105,11 +105,6 @@ def test_block_threshold_rejects_degree_one():
         block_threshold_grid(1)
 
 
-def test_block_threshold_epsilon_accessor():
-    res = block_threshold(3)
-    assert res.epsilon(100.0) == pytest.approx(BLOCK_IT[3] / 100.0, abs=1e-6)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_solve_load_bound_matches_oracle(d):
     g = solve_load_bound(1.0 / d)

@@ -5,7 +5,6 @@ import pytest
 
 from csaloha import (
     BlockDeConfig,
-    CoupledTopology,
     LoadPoint,
     SchemeParams,
     build_circulant_topology,
@@ -173,7 +172,7 @@ def test_run_matches_edge_by_edge_oracle(topo, g):
     assert len(res.trace) == 20
     prev = [1.0] * topo.m_f
     for q, p in res.trace:
-        q_ref, p_ref = coupled_de_step_reference(prev, topo, g)
+        q_ref, p_ref = coupled_de_step_reference(prev, topo.l, topo.d, g, topo.wrap)
         assert np.max(np.abs(q - q_ref)) <= 1e-15
         assert np.max(np.abs(p - p_ref)) <= 1e-15
         prev = list(p)
@@ -189,12 +188,3 @@ def test_run_stop_reason(g, max_iters, reason, converged):
     assert res.converged is converged
     if reason == "cap":
         assert res.iterations == max_iters
-
-
-def test_run_rejects_non_chain_topology():
-    # type 1 in frames 1 and 3: a valid topology, but not a chain window
-    topo = CoupledTopology(
-        l=2, d=2, m_f=3, delta=(1, 1, 2), sn_neighbors=((1,), (2,), (1, 2)), bn_neighbors=((1, 3), (2, 3))
-    )
-    with pytest.raises(ValueError, match="chain"):
-        de_coupled_run(topo, 0.5)

@@ -7,6 +7,7 @@ import pytest
 
 from csaloha import (
     FrameGraph,
+    build_circulant_topology,
     build_topology,
     gje_decode,
     peel,
@@ -15,7 +16,7 @@ from csaloha import (
     sample_block_frame,
     sample_coupled_frame,
 )
-from oracles import dense_gje_decode, enumerate_recoverable, naive_peel
+from oracles import access_frames, dense_gje_decode, enumerate_recoverable, naive_peel
 
 
 def random_frame(rng, m_max=30, n_max=30, ds=(2, 3, 4)):
@@ -97,6 +98,16 @@ def test_sample_coupled_frame_structure():
         assert frames == [t - 1, t]  # one copy in its frame, one in the next
     # the last frame carries only copies: no type-4 users exist
     assert f.user_type.max() <= 3
+
+
+def test_sample_coupled_frame_wraps_on_circulant_topology():
+    # type i's copies land in frames i..i+d-1 mod l, one in each
+    l, d, m = 5, 3, 6
+    f = sample_coupled_frame(m, build_circulant_topology(l, d), 3.0, rng_stream(4, 0))
+    assert f.n_slots == l * m
+    assert set(f.user_type.tolist()) == set(range(1, l + 1))
+    for row, t in zip(f.slots, f.user_type):
+        assert sorted(int(s) // m for s in row) == sorted(j - 1 for j in access_frames(int(t), l, d, wrap=True))
 
 
 def test_sample_coupled_frame_single_type():
