@@ -50,6 +50,7 @@ def _workers() -> int:
 def _row(task) -> dict:
     """Every column of a thresholds or sweep row for one degree."""
     d, l, alpha, tol, max_iters = task
+    params = SchemeParams(d, alpha)  # checks alpha before the long DE runs
     cfg = BlockDeConfig() if max_iters is None else BlockDeConfig(max_iters=max_iters)
     g_block = block_threshold(d, cfg, 1e-5 if tol is None else tol).threshold
     g_coupled = coupled_threshold(d, l, cfg, 1e-4 if tol is None else tol).threshold
@@ -59,7 +60,7 @@ def _row(task) -> dict:
         "rate": 1.0 / d,
         "g_it_block": g_block,
         "g_it_coupled": g_coupled,
-        "g_map_bound": map_load_bound(SchemeParams(d, alpha)),
+        "g_map_bound": map_load_bound(params),
         "g_star": g_star,
         "efficiency": efficiency(g_coupled, g_star),
     }
@@ -99,6 +100,8 @@ def _write(text: str, out: str | None):
 
 
 def _cmd_bound(args) -> int:
+    if args.d < 1:
+        raise ValueError(f"d must be >= 1, got {args.d}")
     g_star = solve_load_bound(1.0 / args.d)
     if args.format == "json":
         _write(json.dumps({"d": args.d, "g_star": g_star}, sort_keys=True) + "\n", args.out)

@@ -10,6 +10,7 @@ i..i+d-1); anything stored as a numpy index array is 0-indexed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,8 +30,8 @@ class SchemeParams:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"repetition degree d must be an integer >= 1, got {self.d!r}")
-        if not self.alpha > 1.0:
-            raise ValueError(f"normalized population alpha must exceed 1, got {self.alpha!r}")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError(f"normalized population alpha must be finite and exceed 1, got {self.alpha!r}")
 
     @property
     def nominal_rate(self) -> float:
@@ -104,9 +105,9 @@ class DeResult:
     final_p is the last sum-node-to-burst-node erasure probability (max over
     positions in the coupled case). trace, when recorded, is a tuple of
     per-iteration (q, p) values; p is an array in the coupled case.
-    stop_reason names the rule that ended the run: "target" (final_p reached
-    target_p), "stall" (progress fell below stall_eps: a fixed point, or
-    slowing near the threshold) or "cap" (max_iters ran out first).
+    stop_reason names the rule that ended it (see BlockDeConfig): "target"
+    (final_p <= TARGET_P = 1e-8, the only success), "stall" (no erasure
+    probability changed by STALL_EPS = 1e-12) or "cap" (max_iters ran out).
     """
 
     converged: bool
@@ -118,12 +119,11 @@ class DeResult:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A bisection outcome: threshold = bracket midpoint, plus convergence metadata."""
+    """A bisection outcome: threshold = bracket midpoint, after `evaluations` DE runs."""
 
     threshold: float
     bracket_lo: float
     bracket_hi: float
-    tolerance: float
     evaluations: int
 
 

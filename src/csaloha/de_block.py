@@ -1,6 +1,7 @@
 """Density evolution for the conventional (single MAC frame) scheme: the
 iterative-decoding threshold in offered traffic G, and the fundamental load
-bound G* = unique positive root of G = 1 - e^{-G/R}.
+bound G* = unique positive root of G = 1 - e^{-G/R}. Coupled DE shares the
+run loop (_run) and the threshold search (threshold) defined here.
 """
 
 from __future__ import annotations
@@ -17,52 +18,59 @@ class ThresholdBracketError(RuntimeError):
     """Bisection predicate still true at the upper bracket; no threshold inside."""
 
 
+# the stop rule of every density-evolution run, block or coupled (BlockDeConfig)
+TARGET_P = 1e-8
+STALL_EPS = 1e-12
+
+
 @dataclass(frozen=True)
 class BlockDeConfig:
-    """Stopping rules for the fixed-point iteration.
+    """The iteration cap of a density-evolution run.
 
-    Success means the erasure probability falls below target_p. Progress per
-    iteration below stall_eps, or max_iters iterations without success, count
-    as non-convergence (DeResult.stop_reason says which). Near a threshold
-    the iteration slows down, so a run that would still converge can be
-    counted as a failure, and the estimated threshold is biased low. For
-    coupled DE that bias can exceed the bisection tolerance: at d=3, l=200,
-    three probes hit the 1e5 cap, and the coupled threshold lands 3.2e-4
-    below the MAP bound with a tolerance of 1e-4 (ROADMAP item 1).
+    After each iteration the run stops, tested in this order, when the worst
+    erasure probability is at most TARGET_P = 1e-8 ("target", the only
+    success), when no erasure probability changed by STALL_EPS = 1e-12
+    ("stall": a fixed point, or slowing near the threshold) or after
+    max_iters iterations ("cap"); DeResult.stop_reason names which. Near a
+    threshold a run that would still converge can so count as a failure:
+    at d=3, l=200 three coupled probes hit the 1e5 cap, and the coupled
+    threshold lands 3.2e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 1).
     """
 
-    target_p: float = 1e-8
     max_iters: int = 100_000
-    stall_eps: float = 1e-12
 
     def __post_init__(self):
-        if not 0.0 < self.target_p < 1.0:
-            raise ValueError(f"target_p must lie in (0,1), got {self.target_p}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.stall_eps < 0.0:
-            raise ValueError(f"stall_eps must be >= 0, got {self.stall_eps}")
 
 
 _DEFAULT_CFG = BlockDeConfig()
 
 
-def _iterate(d: int, g: float, cfg: BlockDeConfig, record_trace: bool) -> DeResult:
+def _run(steps, cfg: BlockDeConfig, record_trace: bool) -> DeResult:
+    """Draw (q, p, worst_p, change) from the step iterator until the stop
+    rule ends the run (see BlockDeConfig); trace collects the (q, p) pairs."""
+    trace: list[tuple] | None = [] if record_trace else None
+    for it, (q, p, worst_p, change) in zip(range(1, cfg.max_iters + 1), steps):
+        if trace is not None:
+            trace.append((q, p))
+        if worst_p <= TARGET_P or change < STALL_EPS:
+            reason = "target" if worst_p <= TARGET_P else "stall"
+            break
+    else:
+        reason = "cap"
+    return DeResult(reason == "target", worst_p, it, tuple(trace) if trace is not None else None, reason)
+
+
+def _iterate(d: int, g: float):
+    """The scalar block recursion as a step iterator for _run."""
     # q_l = p_{l-1}^{d-1};  p_l = 1 - exp(-g*d*q_l), from p_0 = 1
     p = 1.0
-    trace: list[tuple[float, float]] | None = [] if record_trace else None
-    for it in range(1, cfg.max_iters + 1):
+    while True:
         q = p ** (d - 1)
         p_next = -math.expm1(-g * d * q)
-        if trace is not None:
-            trace.append((q, p_next))
-        progress = p - p_next
+        yield q, p_next, p_next, p - p_next
         p = p_next
-        if p <= cfg.target_p:
-            return DeResult(True, p, it, tuple(trace) if trace is not None else None, "target")
-        if progress < cfg.stall_eps:
-            return DeResult(False, p, it, tuple(trace) if trace is not None else None, "stall")
-    return DeResult(False, p, cfg.max_iters, tuple(trace) if trace is not None else None, "cap")
 
 
 def de_block_run(
@@ -72,8 +80,9 @@ def de_block_run(
     record_trace: bool = False,
 ) -> DeResult:
     """Run the two-step erasure recursion at offered traffic load.g until the
-    erasure probability vanishes (converged) or progress stalls."""
-    return _iterate(params.d, load.g, cfg, record_trace)
+    erasure probability reaches TARGET_P ("target"), an iteration changes it
+    by less than STALL_EPS ("stall") or cfg.max_iters runs out ("cap")."""
+    return _run(_iterate(params.d, load.g), cfg, record_trace)
 
 
 def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
@@ -84,8 +93,8 @@ def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, flo
     predicate(hi) must be false, else the bracket is too small and the search
     is meaningless; that case raises ThresholdBracketError.
     """
-    if tol <= 0.0:
-        raise ValueError(f"bisection tolerance must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
     evals = 1
     if predicate(hi):
         raise ThresholdBracketError(f"predicate still true at upper bracket {hi}")
@@ -101,24 +110,28 @@ def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, flo
     return lo, hi, evals
 
 
-def block_threshold(d: int, cfg: BlockDeConfig = _DEFAULT_CFG, bisect_tol: float = 1e-5) -> ThresholdResult:
-    """Largest G at which density evolution still converges, by bisection on [0, 1.2]."""
+def threshold(d: int, converges, tol: float) -> ThresholdResult:
+    """The threshold of a degree-d scheme: the largest load G in [0, 1.2] at
+    which converges(G) holds, by bisection to width tol."""
     if d < 2:
         raise ValueError(f"threshold search needs d >= 2, got {d}")
-    lo, hi, evals = bisect_load(lambda g: _iterate(d, g, cfg, False).converged, 0.0, 1.2, bisect_tol)
-    return ThresholdResult(0.5 * (lo + hi), lo, hi, hi - lo, evals)
+    lo, hi, evals = bisect_load(converges, 0.0, 1.2, tol)
+    return ThresholdResult(0.5 * (lo + hi), lo, hi, evals)
 
 
-def block_threshold_grid(d: int, n_points: int = 200_000) -> float:
+def block_threshold(d: int, cfg: BlockDeConfig = _DEFAULT_CFG, bisect_tol: float = 1e-5) -> ThresholdResult:
+    """Largest G at which block density evolution still converges."""
+    return threshold(d, lambda g: _run(_iterate(d, g), cfg, False).converged, bisect_tol)
+
+
+def block_threshold_grid(d: int) -> float:
     """Analytic route to the same threshold: the convergence condition
     q > (1 - e^{-q*G*d})^{d-1} for all q in (0,1] first fails where
     G = -ln(1 - q^{1/(d-1)}) / (q*d), so the threshold is that expression's
     minimum over a dense q-grid."""
     if d < 2:
         raise ValueError(f"threshold search needs d >= 2, got {d}")
-    if n_points < 10_000:
-        raise ValueError("grid condition needs at least 1e4 points")
-    q = np.linspace(1e-7, 1.0 - 1e-9, n_points)
+    q = np.linspace(1e-7, 1.0 - 1e-9, 200_000)
     with np.errstate(divide="ignore", invalid="ignore"):
         g_crit = -np.log(1.0 - q ** (1.0 / (d - 1))) / (q * d)
     return float(np.nanmin(g_crit))

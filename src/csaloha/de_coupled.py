@@ -8,9 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CoupledTopology, DeResult, ThresholdResult, build_topology
-from .de_block import BlockDeConfig, bisect_load
-
-_DEFAULT_CFG = BlockDeConfig()
+from .de_block import _DEFAULT_CFG, BlockDeConfig, _run, threshold
 
 
 class _CoupledKernel:
@@ -84,32 +82,28 @@ class _CoupledKernel:
         self.p = p
 
 
+def _steps(kernel: _CoupledKernel, record_trace: bool):
+    """The kernel's iterates as de_block._run's steps; q and p are copies
+    only when traced."""
+    diff = np.empty(kernel.p.size)
+    while True:
+        kernel.advance()
+        q, p = (kernel.q.copy(), kernel.p.copy()) if record_trace else (kernel.q, kernel.p)
+        np.subtract(kernel.prev, kernel.p, out=diff)
+        yield q, p, float(kernel.p.max()), float(np.abs(diff, out=diff).max())
+
+
 def de_coupled_run(
     topo: CoupledTopology,
     g: float,
     cfg: BlockDeConfig = _DEFAULT_CFG,
     record_trace: bool = False,
 ) -> DeResult:
-    """Iterate from the all-ones profile until every position's erasure
-    probability is below target_p, progress stalls, or the iteration cap hits.
-    final_p is the worst (max) position."""
+    """Iterate from the all-ones profile under de_block_run's stop rule, on
+    the worst position's erasure probability, which is final_p."""
     if g < 0.0:
         raise ValueError(f"offered traffic must be >= 0, got {g}")
-    kernel = _CoupledKernel(topo, g)
-    diff = np.empty(topo.m_f)
-    trace: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_trace else None
-    for it in range(1, cfg.max_iters + 1):
-        kernel.advance()
-        if trace is not None:
-            trace.append((kernel.q.copy(), kernel.p.copy()))
-        np.subtract(kernel.prev, kernel.p, out=diff)
-        progress = float(np.abs(diff, out=diff).max())
-        max_p = float(kernel.p.max())
-        if max_p <= cfg.target_p:
-            return DeResult(True, max_p, it, tuple(trace) if trace is not None else None, "target")
-        if progress < cfg.stall_eps:
-            return DeResult(False, max_p, it, tuple(trace) if trace is not None else None, "stall")
-    return DeResult(False, max_p, cfg.max_iters, tuple(trace) if trace is not None else None, "cap")
+    return _run(_steps(_CoupledKernel(topo, g), record_trace), cfg, record_trace)
 
 
 def coupled_threshold(
@@ -118,20 +112,13 @@ def coupled_threshold(
     cfg: BlockDeConfig = _DEFAULT_CFG,
     bisect_tol: float = 1e-4,
 ) -> ThresholdResult:
-    """Bisection on [0, 1.2] with coupled-DE convergence as the predicate.
+    """Threshold search with coupled-DE convergence on the l-chain as the predicate.
 
     The default bisect_tol is looser than the block one because each coupled
     run costs m_f positions per iteration and near-threshold runs are long.
     """
-    if d < 2:
-        raise ValueError(f"threshold search needs d >= 2, got {d}")
-    if l < 1:
-        raise ValueError(f"chain length must be >= 1, got {l}")
     topo = build_topology(l, d)
-    lo, hi, evals = bisect_load(
-        lambda g: de_coupled_run(topo, g, cfg).converged, 0.0, 1.2, bisect_tol
-    )
-    return ThresholdResult(0.5 * (lo + hi), lo, hi, hi - lo, evals)
+    return threshold(d, lambda g: de_coupled_run(topo, g, cfg).converged, bisect_tol)
 
 
 def termination_adjusted_load(g: float, l: int, d: int) -> float:

@@ -6,9 +6,9 @@ per-trial random streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import compress
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +51,19 @@ class FrameGraph:
 
 @dataclass(frozen=True)
 class DecodeReport:
-    """recovered holds burst indices (row numbers into FrameGraph.slots)."""
+    """One decoding pass over a frame; the sets hold burst indices (row
+    numbers into FrameGraph.slots).
+
+    peeled is what peeling recovers, in peel_iterations parallel rounds.
+    recovered is the decoder's result: peeled for peel, and for gje_decode
+    the bursts whose value is the same in every solution of the slot-by-burst
+    GF(2) system, of rank gje_rank, after inactivating `inactivations`
+    bursts. gje_rank and inactivations are None from peel.
+    """
 
     recovered: frozenset[int]
-    method: str
-    peel_iterations: int | None = None
+    peeled: frozenset[int]
+    peel_iterations: int
     gje_rank: int | None = None
     inactivations: int | None = None
 
@@ -107,40 +115,27 @@ def sample_coupled_frame(
 def _draw_active(rng, g, m, alpha):
     if alpha is None:
         return int(rng.poisson(g * m))
-    if alpha <= 0.0:
-        raise ValueError(f"population alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"population alpha must be positive and finite, got {alpha}")
     if g > alpha:
         raise ValueError(f"g={g} implies an activation probability above 1 at alpha={alpha}")
     return int(rng.binomial(int(round(alpha * m)), g / alpha))
 
 
-def peel(frame: FrameGraph, slot_order=None) -> DecodeReport:
+def peel(frame: FrameGraph) -> DecodeReport:
     """Iterative SIC: repeatedly resolve any slot holding exactly one
     unrecovered burst and cancel that burst from all its slots. The recovered
     set does not depend on the resolution order; peel_iterations counts the
     parallel rounds until no degree-1 slot remains."""
-    dec = _decode(frame, slot_order)
-    return DecodeReport(dec.peeled, "peeling", peel_iterations=dec.rounds)
+    return _decode(frame)
 
 
 def gje_decode(frame: FrameGraph) -> DecodeReport:
-    """Exact (genie-aided MAP) decoder. A burst is recovered iff its value is
-    the same in every solution of the slot-by-burst GF(2) system; gje_rank is
-    the rank of that system and inactivations the number of bursts the
-    inactivation decoder had to guess (see _decode)."""
-    dec = _decode(frame, exact=True)
-    return DecodeReport(dec.recovered, "gje", gje_rank=dec.rank, inactivations=dec.k)
+    """Exact (genie-aided MAP) decoder: peeling plus inactivation (see _decode)."""
+    return _decode(frame, exact=True)
 
 
-class _Decoded(NamedTuple):
-    peeled: frozenset[int]
-    rounds: int
-    recovered: frozenset[int] | None = None
-    rank: int | None = None
-    k: int | None = None
-
-
-def _decode(frame: FrameGraph, slot_order=None, exact: bool = False) -> _Decoded:
+def _decode(frame: FrameGraph, exact: bool = False) -> DecodeReport:
     """Peeling, then (if exact) inactivation decoding.
 
     Peeling runs in parallel rounds from the degree-1 slots. When it stalls
@@ -163,14 +158,11 @@ def _decode(frame: FrameGraph, slot_order=None, exact: bool = False) -> _Decoded
     smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
 
-    if slot_order is None:
-        frontier = np.flatnonzero(deg_v == 1).tolist()
-    else:
-        frontier = [s for s in slot_order if deg[s] == 1]
+    frontier = np.flatnonzero(deg_v == 1).tolist()
     rounds = _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask)
     peeled = frozenset(compress(range(n), solved))
     if not exact:
-        return _Decoded(peeled, rounds)
+        return DecodeReport(peeled, peeled, rounds)
 
     residents = np.argsort(flat, kind="stable") // d  # burst ids grouped by slot
     first = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
@@ -197,7 +189,7 @@ def _decode(frame: FrameGraph, slot_order=None, exact: bool = False) -> _Decoded
         if v := _reduce(v, basis):
             basis[v.bit_length() - 1] = v
     lost = {b for b, v in bmask.items() if _reduce(v, basis)}
-    return _Decoded(peeled, rounds, frozenset(range(n)) - lost, n - k + len(basis), k)
+    return DecodeReport(frozenset(range(n)) - lost, peeled, rounds, n - k + len(basis), k)
 
 
 def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> int:
@@ -348,6 +340,8 @@ def run_trials(
         if l is None:
             raise ValueError("coupled runs need the chain length l")
         topo = build_topology(l, d)
+    elif l is not None:
+        raise ValueError(f"block runs have no chain length, got l={l}")
 
     # four chunks per worker, so that a slow chunk does not hold up the rest
     chunks = np.array_split(np.arange(trials), min(4 * pool_size(workers, trials), trials))

@@ -76,6 +76,40 @@ def test_zero_override_is_a_parameter_error(capsys, command, flag):
     assert rc == 2 and out == "" and "parameter error" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_parameter_error(capsys, tol):
+    # it used to return the untouched bracket: 0.6 for both thresholds
+    rc, out, err = run_cli(capsys, "thresholds", "--d-max", "2", "--l", "10", "--tol", tol)
+    assert rc == 2 and out == "" and "parameter error" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["thresholds", "--d-max", "2", "--l", "10", "--tol", "1e-3"],
+        ["simulate", "block", "--d", "3", "--g", "0.5", "--slots", "100", "--trials", "2"],
+    ],
+    ids=["thresholds", "simulate"],
+)
+def test_infinite_alpha_is_a_parameter_error(capsys, command):
+    rc, out, err = run_cli(capsys, *command, "--alpha", "inf")
+    assert rc == 2 and out == "" and "parameter error" in err
+
+
+def test_bound_degree_zero_is_a_parameter_error(capsys):
+    rc, out, err = run_cli(capsys, "bound", "--d", "0")
+    assert rc == 2 and out == "" and "parameter error" in err
+
+
+def test_simulate_block_rejects_chain_length(capsys):
+    # a block frame has no chain; l is a coupled-only option
+    rc, out, err = run_cli(
+        capsys, "simulate", "block", "--d", "3", "--g", "0.5", "--slots", "100",
+        "--trials", "2", "--l", "5",
+    )
+    assert rc == 2 and out == "" and "chain length" in err
+
+
 def test_thresholds_table_does_not_depend_on_worker_count(capsys, monkeypatch):
     argv = ["thresholds", "--d-max", "3", "--l", "20", "--tol", "1e-3"]
     rc1, out1, _ = run_cli(capsys, *argv)

@@ -98,6 +98,13 @@ def test_bisect_load_probe_order():
     assert probes == [1.2, 0.6, 0.3, 0.15]
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bisect_load_rejects_bad_tolerance(tol):
+    # a NaN or infinite tolerance used to return the untouched bracket
+    with pytest.raises(ValueError):
+        bisect_load(lambda x: x < 0.3, 0.0, 1.2, tol)
+
+
 def test_block_threshold_rejects_degree_one():
     with pytest.raises(ValueError):
         block_threshold(1)
@@ -131,9 +138,6 @@ def test_efficiency_is_the_ratio():
 
 
 def test_de_config_validation():
-    with pytest.raises(ValueError):
-        BlockDeConfig(target_p=0.0)
-    with pytest.raises(ValueError):
-        BlockDeConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        BlockDeConfig(stall_eps=-1.0)
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError):
+            BlockDeConfig(max_iters=max_iters)

@@ -155,12 +155,14 @@ def test_peel_chain_two_rounds():
 
 
 def test_peel_schedule_independence():
+    # relabelling slot s as m-1-s reverses the order in which peeling visits
+    # the degree-1 slots; the recovered set must not change
     rng = np.random.default_rng(123)
     for _ in range(300):
         f = random_frame(rng)
+        flipped = FrameGraph(n_slots=f.n_slots, d=f.d, slots=f.n_slots - 1 - f.slots)
         fwd = peel(f).recovered
-        rev = peel(f, slot_order=range(f.n_slots - 1, -1, -1)).recovered
-        assert fwd == rev
+        assert peel(flipped).recovered == fwd
         assert fwd == naive_peel(f)
 
 
