@@ -82,12 +82,13 @@ def _emit_table(cols, rows, args) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in cols])
+    writer.writerows([_fmt(row[c]) for c in cols] for row in rows)
     return buf.getvalue()
 
 
 def _fmt(v):
+    if isinstance(v, list):  # simulate's per_position_plr
+        return " ".join(map(_fmt, v))
     return f"{v:.10g}" if isinstance(v, float) else v
 
 
@@ -143,15 +144,7 @@ def _cmd_simulate(args) -> int:
     payload = report.to_dict()
     payload["wall_time_s"] = time.perf_counter() - t0
     if args.format == "csv":
-        flat = dict(payload)
-        if "per_position_plr" in flat:
-            flat["per_position_plr"] = " ".join(f"{x:.10g}" for x in flat["per_position_plr"])
-        cols = sorted(flat)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerow([_fmt(flat[c]) for c in cols])
-        _write(buf.getvalue(), args.out)
+        _write(_emit_table(sorted(payload), [payload], args), args.out)
     else:
         _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -162,14 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "csv")):
-        p.add_argument("--format", choices=list(formats), default=None)
+    def common(p, default, formats=("json", "csv")):
+        p.add_argument("--format", choices=list(formats), default=default)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p = sub.add_parser("bound", help="load bound G* for rate R = 1/d")
     p.add_argument("--d", type=int, required=True)
-    common(p, formats=("text", "json", "csv"))
-    p.set_defaults(fn=_cmd_bound, format_default="text")
+    common(p, "text", formats=("text", "json", "csv"))
+    p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("thresholds", help="threshold comparison table for d = 2..d_max")
     p.add_argument("--d-max", type=int, default=6)
@@ -177,16 +170,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=100.0)
     p.add_argument("--tol", type=float, default=None, help="bisection tolerance override")
     p.add_argument("--max-iters", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_thresholds, format_default="csv")
+    common(p, "csv")
+    p.set_defaults(fn=_cmd_thresholds)
 
     p = sub.add_parser("sweep", help="rate sweep of thresholds vs the load bound")
     p.add_argument("--d-list", default="", help="comma-separated degrees, e.g. 2,3,4")
     p.add_argument("--l", type=int, default=200)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_sweep, format_default="csv")
+    common(p, "csv")
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo packet-loss run")
     p.add_argument("scenario", choices=["block", "coupled"])
@@ -199,15 +192,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--decoder", choices=["peeling", "gje", "both"], default="peeling")
-    common(p)
-    p.set_defaults(fn=_cmd_simulate, format_default="json")
+    common(p, "json")
+    p.set_defaults(fn=_cmd_simulate)
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.format_default
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -115,6 +115,8 @@ def threshold(d: int, converges, tol: float) -> ThresholdResult:
     which converges(G) holds, by bisection to width tol."""
     if d < 2:
         raise ValueError(f"threshold search needs d >= 2, got {d}")
+    if tol >= 1.2:  # the bracket would come back untouched
+        raise ValueError(f"bisection tolerance must be below the bracket width 1.2, got {tol}")
     lo, hi, evals = bisect_load(converges, 0.0, 1.2, tol)
     return ThresholdResult(0.5 * (lo + hi), lo, hi, evals)
 

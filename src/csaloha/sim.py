@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -78,8 +79,6 @@ def sample_block_frame(
         raise ValueError(f"repetition degree must be >= 1, got {d}")
     if m < d:
         raise ValueError(f"need at least d={d} slots, got m={m}")
-    if g < 0.0:
-        raise ValueError(f"offered traffic must be >= 0, got {g}")
     n = _draw_active(rng, g, m, alpha)
     slots = rng.integers(0, m, size=(n, d), dtype=np.int64)
     if d > 1:
@@ -99,8 +98,6 @@ def sample_coupled_frame(
     carry only copies."""
     if m < 1:
         raise ValueError(f"need at least one slot per frame, got {m}")
-    if g < 0.0:
-        raise ValueError(f"offered traffic must be >= 0, got {g}")
     counts = np.array([_draw_active(rng, g, m, alpha) for _ in range(topo.l)])
     n = int(counts.sum())
     frame_of_type = (np.arange(topo.l)[:, None] + np.arange(topo.d)) % topo.m_f  # (l, d)
@@ -113,6 +110,8 @@ def sample_coupled_frame(
 
 
 def _draw_active(rng, g, m, alpha):
+    if g < 0.0:
+        raise ValueError(f"offered traffic must be >= 0, got {g}")
     if alpha is None:
         return int(rng.poisson(g * m))
     if not 0.0 < alpha < math.inf:
@@ -235,9 +234,9 @@ class SimReport:
     decoder (peeling unless decoder='gje'); ci95 is a normal-approximation
     half-width from the per-trial ratio estimator. per_position_plr (coupled
     runs) pools losses per user type 1..l. With decoder='both' the gje_*
-    fields carry the reference decoder's numbers and gje_extra_recovered the
-    per-trial count of bursts the reference decoder recovered but peeling
-    did not (never negative).
+    fields carry the reference decoder's numbers and gje_extra_recovered, per
+    trial, the bursts peeling lost minus those the reference decoder lost
+    (which recovers every peeled burst, so never negative).
     """
 
     scenario: str
@@ -270,33 +269,27 @@ class SimReport:
         return out
 
 
-def _one_trial(scenario, m, d, l, alpha, g, decoder, seed, t, topo):
-    rng = rng_stream(seed, t)
-    if scenario == "block":
-        frame = sample_block_frame(m, g, d, rng, alpha)
-    else:
-        frame = sample_coupled_frame(m, topo, g, rng, alpha)
-    gen = frame.n_active
-    exact = decoder != "peeling"
-    dec = _decode(frame, exact=exact)
-    primary = dec.recovered if decoder == "gje" else dec.peeled
-    lost = gen - len(primary)
-    gje_lost = gen - len(dec.recovered) if exact else 0
-    extra = len(dec.recovered - dec.peeled) if decoder == "both" else 0
-    if scenario == "coupled":
-        type_gen = np.bincount(frame.user_type, minlength=l + 1)[1:]
-        unrec = np.ones(gen, dtype=bool)
-        if primary:
-            unrec[list(primary)] = False
-        type_lost = np.bincount(frame.user_type[unrec], minlength=l + 1)[1:]
-    else:
-        type_gen = type_lost = None
-    return gen, lost, gje_lost, extra, type_gen, type_lost
+def _trial_batch(ids, sample, n_types, exact, seed):
+    """One (3, n_types) int64 record per trial t in ids, counted by user type
+    (a block frame has one type): row 0 the bursts generated, row 1 those
+    peeling lost, row 2 those the decoder's result lost."""
+    out = []
+    for t in ids:
+        frame = sample(rng=rng_stream(seed, t))
+        types = np.zeros(frame.n_active, np.int64) if frame.user_type is None else frame.user_type - 1
+        dec = _decode(frame, exact=exact)
+        gen = np.bincount(types, minlength=n_types)
+        peel_lost = _lost_by_type(dec.peeled, types, gen)
+        lost = peel_lost if dec.recovered is dec.peeled else _lost_by_type(dec.recovered, types, gen)
+        out.append(np.array([gen, peel_lost, lost]))
+        del frame, dec, types  # else they stay alive through the next trial and raise peak memory
+    return out
 
 
-def _trial_batch(args):
-    scenario, m, d, l, alpha, g, decoder, seed, ids, topo = args
-    return [_one_trial(scenario, m, d, l, alpha, g, decoder, seed, t, topo) for t in ids]
+def _lost_by_type(kept, types, gen):
+    if len(kept) == len(types):  # decoded in full, as most frames are below threshold
+        return gen - gen
+    return gen - np.bincount(types[np.fromiter(kept, np.int64, len(kept))], minlength=len(gen))
 
 
 def _ratio_ci95(lost, gen):
@@ -335,22 +328,20 @@ def run_trials(
         raise ValueError(f"decoder must be peeling|gje|both, got {decoder!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    topo = None
-    if scenario == "coupled":
-        if l is None:
-            raise ValueError("coupled runs need the chain length l")
-        topo = build_topology(l, d)
-    elif l is not None:
-        raise ValueError(f"block runs have no chain length, got l={l}")
-
+    if (l is None) != (scenario == "block"):
+        raise ValueError(f"coupled runs need a chain length l and block runs take none, got l={l}")
+    if scenario == "block":
+        sample, n_types = partial(sample_block_frame, m, g, d, alpha=alpha), 1
+    else:
+        sample, n_types = partial(sample_coupled_frame, m, build_topology(l, d), g, alpha=alpha), l
+    batch = partial(_trial_batch, sample=sample, n_types=n_types, exact=decoder != "peeling", seed=seed)
     # four chunks per worker, so that a slow chunk does not hold up the rest
     chunks = np.array_split(np.arange(trials), min(4 * pool_size(workers, trials), trials))
-    payloads = [(scenario, m, d, l, alpha, g, decoder, seed, c.tolist(), topo) for c in chunks]
-    rows = [row for batch in pool_map(_trial_batch, payloads, workers) for row in batch]
+    counts = np.stack([r for rs in pool_map(batch, [c.tolist() for c in chunks], workers) for r in rs])
 
-    gen = np.array([r[0] for r in rows], dtype=np.int64)
-    lost = np.array([r[1] for r in rows], dtype=np.int64)
-    plr, ci = _ratio_ci95(lost, gen)
+    primary = 2 if decoder == "gje" else 1
+    by_trial, by_type = counts.sum(axis=2), counts.sum(axis=0)  # (trial, row), (row, type)
+    gen, lost = by_trial[:, 0], by_trial[:, primary]
     report = dict(
         scenario=scenario,
         decoder=decoder,
@@ -363,20 +354,14 @@ def run_trials(
         alpha=alpha,
         n_bursts=int(gen.sum()),
         n_lost=int(lost.sum()),
-        plr=plr,
-        ci95=ci,
     )
+    report["plr"], report["ci95"] = _ratio_ci95(lost, gen)
     if scenario == "coupled":
-        tgen = np.sum([r[4] for r in rows], axis=0)
-        tlost = np.sum([r[5] for r in rows], axis=0)
-        with np.errstate(invalid="ignore"):
-            per_pos = np.where(tgen > 0, tlost / np.maximum(tgen, 1), 0.0)
+        # a type with no bursts has lost none, so its rate reads 0 / 1
+        per_pos = by_type[primary] / np.maximum(by_type[0], 1)
         report["per_position_plr"] = tuple(float(x) for x in per_pos)
     if decoder == "both":
-        gje_lost = np.array([r[2] for r in rows], dtype=np.int64)
-        gje_plr, gje_ci = _ratio_ci95(gje_lost, gen)
-        report["gje_n_lost"] = int(gje_lost.sum())
-        report["gje_plr"] = gje_plr
-        report["gje_ci95"] = gje_ci
-        report["gje_extra_recovered"] = tuple(int(r[3]) for r in rows)
+        report["gje_plr"], report["gje_ci95"] = _ratio_ci95(by_trial[:, 2], gen)
+        report["gje_n_lost"] = int(by_trial[:, 2].sum())
+        report["gje_extra_recovered"] = tuple(int(x) for x in by_trial[:, 1] - by_trial[:, 2])
     return SimReport(**report)

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import time
 
@@ -81,6 +84,13 @@ def test_non_finite_tolerance_is_a_parameter_error(capsys, tol):
     # it used to return the untouched bracket: 0.6 for both thresholds
     rc, out, err = run_cli(capsys, "thresholds", "--d-max", "2", "--l", "10", "--tol", tol)
     assert rc == 2 and out == "" and "parameter error" in err
+
+
+@pytest.mark.parametrize("tol", ["1.2", "5"])
+def test_tolerance_at_bracket_width_is_a_parameter_error(capsys, tol):
+    # it used to print 0.6, the untouched bracket's midpoint, for both thresholds
+    rc, out, err = run_cli(capsys, "thresholds", "--d-max", "2", "--l", "10", "--tol", tol)
+    assert rc == 2 and out == "" and "bracket width" in err
 
 
 @pytest.mark.parametrize(
@@ -222,3 +232,18 @@ def test_csv_output_simulate(capsys):
     cols = header.split(",")
     assert "plr" in cols and "seed" in cols and "wall_time_s" in cols
     assert len(row.split(",")) == len(cols)
+
+
+def test_simulate_csv_bytes_pinned(capsys):
+    # sha256 of the header and row with the wall_time_s column cut, taken
+    # before the CSV writer was shared with thresholds and sweep
+    rc, out, _ = run_cli(
+        capsys, "simulate", "coupled", "--d", "3", "--l", "8", "--slots", "60",
+        "--g", "0.88", "--trials", "20", "--decoder", "both", "--seed", "1", "--format", "csv",
+    )
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    cut = rows[0].index("wall_time_s")
+    text = "".join(",".join(r[:cut] + r[cut + 1:]) + "\n" for r in rows)
+    want = "12dfea1be979b52632608b0a9a85b244cd455f0e61ba8df3a4f134cef957127b"
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -8,6 +8,7 @@ from csaloha import (
     SchemeParams,
     block_threshold,
     block_threshold_grid,
+    coupled_threshold,
     de_block_run,
     efficiency,
     solve_load_bound,
@@ -103,6 +104,17 @@ def test_bisect_load_rejects_bad_tolerance(tol):
     # a NaN or infinite tolerance used to return the untouched bracket
     with pytest.raises(ValueError):
         bisect_load(lambda x: x < 0.3, 0.0, 1.2, tol)
+
+
+@pytest.mark.parametrize("tol", [1.2, 5.0])
+def test_threshold_rejects_tolerance_at_bracket_width(tol):
+    # such a tolerance used to return the untouched bracket [0, 1.2]: 0.6
+    with pytest.raises(ValueError, match="bracket width"):
+        block_threshold(2, bisect_tol=tol)
+    with pytest.raises(ValueError, match="bracket width"):
+        coupled_threshold(2, l=10, bisect_tol=tol)
+    # bisect_load itself takes it: the MAP bound bisects narrow brackets
+    assert bisect_load(lambda x: x < 0.3, 0.29, 0.31, tol) == (0.29, 0.31, 1)
 
 
 def test_block_threshold_rejects_degree_one():

@@ -299,6 +299,26 @@ def test_run_trials_coupled_per_position():
     assert all(0.0 <= x <= 1.0 for x in rep.per_position_plr)
 
 
+def test_run_trials_per_trial_values_match_a_replay():
+    # replay each trial as rng_stream -> sample -> peel / gje_decode: the
+    # per-trial extra counts and the per-type losses, not only their totals
+    m, d, g, l, trials, seed = 60, 3, 0.95, 10, 6, 0
+    rep = run_trials("coupled", m=m, d=d, g=g, trials=trials, seed=seed, l=l, decoder="both")
+    topo = build_topology(l, d)
+    extra, gen, lost = [], np.zeros(l, np.int64), np.zeros(l, np.int64)
+    for t in range(trials):
+        frame = sample_coupled_frame(m, topo, g, rng_stream(seed, t))
+        peeled, exact = peel(frame).recovered, gje_decode(frame).recovered
+        extra.append(len(exact - peeled))
+        unrec = [b for b in range(frame.n_active) if b not in peeled]
+        gen += np.bincount(frame.user_type - 1, minlength=l)
+        lost += np.bincount(frame.user_type[unrec] - 1, minlength=l)
+    assert len(set(extra)) > 1  # the per-trial values differ, so order shows
+    assert rep.gje_extra_recovered == tuple(extra)
+    assert rep.per_position_plr == tuple(float(x) / y for x, y in zip(lost, gen))
+    assert rep.n_lost == lost.sum() and rep.n_bursts == gen.sum()
+
+
 def test_run_trials_validation():
     with pytest.raises(ValueError):
         run_trials("block", m=50, d=3, g=0.5, trials=0, seed=0)
