@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import compress
 
 import numpy as np
 
@@ -55,11 +54,13 @@ class DecodeReport:
     """One decoding pass over a frame; the sets hold burst indices (row
     numbers into FrameGraph.slots).
 
-    peeled is what peeling recovers, in peel_iterations parallel rounds.
-    recovered is the decoder's result: peeled for peel, and for gje_decode
-    the bursts whose value is the same in every solution of the slot-by-burst
-    GF(2) system, of rank gje_rank, after inactivating `inactivations`
-    bursts. gje_rank and inactivations are None from peel.
+    peeled is what peeling recovers, round-synchronously over numpy arrays;
+    peel_iterations is the number of rounds whose frontier was non-empty,
+    including a last round whose slots were all cleared in the round before
+    it (see peel). recovered is the decoder's result: peeled for peel, and
+    for gje_decode the bursts whose value is the same in every solution of
+    the slot-by-burst GF(2) system, of rank gje_rank, after inactivating
+    `inactivations` bursts. gje_rank and inactivations are None from peel.
     """
 
     recovered: frozenset[int]
@@ -124,8 +125,15 @@ def _draw_active(rng, g, m, alpha):
 def peel(frame: FrameGraph) -> DecodeReport:
     """Iterative SIC: repeatedly resolve any slot holding exactly one
     unrecovered burst and cancel that burst from all its slots. The recovered
-    set does not depend on the resolution order; peel_iterations counts the
-    parallel rounds until no degree-1 slot remains."""
+    set does not depend on the resolution order.
+
+    Peeling is round-synchronous, over numpy arrays. The first frontier is
+    the degree-1 slots. A round solves the burst of each frontier slot that
+    still has degree 1, cancels all those bursts at once, and makes the next
+    frontier the slots whose degree fell from 2 or more to at most 1 in that
+    round. peel_iterations is the number of rounds whose frontier was
+    non-empty, including a last round whose slots were all cleared in the
+    round before it: a two-burst chain over three slots takes two rounds."""
     return _decode(frame)
 
 
@@ -137,32 +145,42 @@ def gje_decode(frame: FrameGraph) -> DecodeReport:
 def _decode(frame: FrameGraph, exact: bool = False) -> DecodeReport:
     """Peeling, then (if exact) inactivation decoding.
 
-    Peeling runs in parallel rounds from the degree-1 slots. When it stalls
-    and an exact result is asked for, the lowest-numbered unresolved burst of
-    the lowest-numbered minimum-degree slot is inactivated: it becomes the
-    unknown x_j, is cancelled from its slots, and peeling resumes. Every slot
-    and every later-solved burst carries its dependence on x as a bitmask.
-    Once no burst is unresolved, the slots that solved no burst hold the
-    constraints mask . x = known; a burst is recovered iff its mask lies in
-    their span, and the system's rank is n - k + rank(constraints).
+    Peeling runs round-synchronously over numpy arrays (see peel). When it
+    stalls and an exact result is asked for, the lowest-numbered unresolved
+    burst of the lowest-numbered minimum-degree slot is inactivated: it
+    becomes the unknown x_j, is cancelled from its slots, and peeling resumes
+    in _peel_rounds, the only loop that carries the masks. Every slot and
+    every later-solved burst carries its dependence on x as a bitmask. Once no burst is unresolved,
+    the slots that solved no burst hold the constraints mask . x = known; a
+    burst is recovered iff its mask lies in their span, and the system's rank
+    is n - k + rank(constraints).
     """
     n, m, d = frame.n_active, frame.n_slots, frame.d
     flat = frame.slots.ravel()  # int64 and C-contiguous
     deg_v = np.bincount(flat, minlength=m).astype(np.int64, copy=False)
     acc_v = np.zeros(m, dtype=np.int64)  # XOR of resident burst ids
     np.bitwise_xor.at(acc_v, flat, np.repeat(np.arange(n, dtype=np.int64), d))
-    # the loops index through memoryviews: plain ints, no numpy scalars, no copies
-    rows, deg, acc = memoryview(flat), memoryview(deg_v), memoryview(acc_v)
-    solved = bytearray(n)  # 1 once solved or inactivated
-    smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
-    bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
+    solved_v = np.zeros(n, dtype=np.uint8)  # 1 once solved or inactivated
 
-    frontier = np.flatnonzero(deg_v == 1).tolist()
-    rounds = _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask)
-    peeled = frozenset(compress(range(n), solved))
+    rounds = 0
+    frontier = (deg_v == 1).nonzero()[0]
+    while frontier.size:
+        rounds += 1
+        b = _distinct(acc_v[frontier[deg_v[frontier] == 1]])
+        solved_v[b] = 1
+        t = frame.slots.take(b, 0).ravel()
+        before = deg_v[t]
+        np.subtract.at(deg_v, t, 1)
+        np.bitwise_xor.at(acc_v, t, b.repeat(d))
+        frontier = t[(before >= 2) & (deg_v[t] <= 1)]
+    peeled = frozenset(np.flatnonzero(solved_v).tolist())
     if not exact:
         return DecodeReport(peeled, peeled, rounds)
 
+    # the exact pass indexes through memoryviews: plain ints, no numpy scalars
+    rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
+    smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
+    bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
     residents = np.argsort(flat, kind="stable") // d  # burst ids grouped by slot
     first = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
     k = 0
@@ -187,16 +205,26 @@ def _decode(frame: FrameGraph, exact: bool = False) -> DecodeReport:
     for v in smask.values():
         if v := _reduce(v, basis):
             basis[v.bit_length() - 1] = v
-    lost = {b for b, v in bmask.items() if _reduce(v, basis)}
-    return DecodeReport(frozenset(range(n)) - lost, peeled, rounds, n - k + len(basis), k)
+    recovered = frozenset(range(n))
+    if len(basis) < k:  # at full rank every mask lies in the span
+        recovered -= {b for b, v in bmask.items() if _reduce(v, basis)}
+    return DecodeReport(recovered, peeled, rounds, n - k + len(basis), k)
 
 
-def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> int:
-    """Resolve degree-1 slots in parallel rounds until none is left; returns
-    the number of rounds. A solved burst inherits its slot's mask."""
-    rounds = 0
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The values of a, sorted (in place) and without repeats. Not np.unique:
+    its first call adds ~1.7 MB of resident memory."""
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> None:
+    """Resolve degree-1 slots until none is left, after an inactivation. A
+    solved burst inherits its slot's mask."""
     while frontier:
-        rounds += 1
         nxt = []
         for s in frontier:
             if deg[s] != 1:
@@ -209,12 +237,11 @@ def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> int:
                 acc[t] ^= b
                 if deg[t] == 1:
                     nxt.append(t)
-            if smask and (v := smask.get(s)):
+            if v := smask.get(s):
                 bmask[b] = v
                 for t in rows[lo : lo + d]:
                     smask[t] = smask.get(t, 0) ^ v
         frontier = nxt
-    return rounds
 
 
 def _reduce(v: int, basis: dict[int, int]) -> int:

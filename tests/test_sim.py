@@ -161,9 +161,46 @@ def test_peel_schedule_independence():
     for _ in range(300):
         f = random_frame(rng)
         flipped = FrameGraph(n_slots=f.n_slots, d=f.d, slots=f.n_slots - 1 - f.slots)
-        fwd = peel(f).recovered
-        assert peel(flipped).recovered == fwd
-        assert fwd == naive_peel(f)
+        fwd, back = peel(f), peel(flipped)
+        assert back.recovered == fwd.recovered
+        assert back.peel_iterations == fwd.peel_iterations
+        assert fwd.recovered == naive_peel(f)
+
+
+def _peel_digest(frames):
+    rows = [(sorted(r.recovered), r.peel_iterations) for r in map(peel, frames)]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_peel_rounds_pinned():
+    # sha256 of (sorted(recovered), peel_iterations) per frame, taken before
+    # peeling ran round-synchronously over numpy arrays: 20 frames of the C7
+    # block sweep, and 5 coupled frames each of the sim-exact and C8 shapes
+    block = [
+        sample_block_frame(m, g, 3, rng_stream(seed, t))
+        for m, g, seed in ((2000, 0.70, 70), (2000, 0.90, 90), (250, 0.75, 75), (1000, 0.75, 75), (4000, 0.75, 75))
+        for t in range(4)
+    ]
+    coupled = [
+        sample_coupled_frame(m, build_topology(l, 3), g, rng_stream(seed, t))
+        for l, m, g, seed in ((20, 200, 0.90, 20), (50, 500, 0.88, 88))
+        for t in range(5)
+    ]
+    assert _peel_digest(block) == BLOCK_PEEL_DIGEST
+    assert _peel_digest(coupled) == COUPLED_PEEL_DIGEST
+    assert peel(coupled[0]).recovered == naive_peel(coupled[0])
+    # an empty frame takes no round; with d=1 a burst alone in its slot is
+    # peeled in the first round and a collision is never resolved
+    empty = peel(FrameGraph(n_slots=3, d=2, slots=np.zeros((0, 2), dtype=np.int64)))
+    assert (empty.recovered, empty.peel_iterations) == (frozenset(), 0)
+    single = FrameGraph(n_slots=3, d=1, slots=np.array([[0], [0], [1], [2]]))
+    rep = peel(single)
+    assert (rep.recovered, rep.peel_iterations) == (frozenset({2, 3}), 1)
+    assert rep.recovered == naive_peel(single)
+
+
+BLOCK_PEEL_DIGEST = "bd94d472eeeee34947fe7af41e7d27bd70d1705d67bc25e2338dce42ed09b38b"
+COUPLED_PEEL_DIGEST = "b68dee566a5ef041236f3e3cf2a9d0730cbe861e1712ccde6c192053a15373a4"
 
 
 def test_gje_identity_matrix():
