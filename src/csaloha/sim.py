@@ -213,7 +213,7 @@ def _decode(frame: FrameGraph, exact: bool = False) -> DecodeReport:
 
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The values of a, sorted (in place) and without repeats. Not np.unique:
-    its first call adds ~1.7 MB of resident memory."""
+    its first call adds over 1 MB of resident memory."""
     a.sort()
     keep = np.empty(a.size, dtype=bool)
     keep[:1] = True

@@ -173,14 +173,12 @@ def _peel_digest(frames):
 
 
 def test_peel_rounds_pinned():
-    # sha256 of (sorted(recovered), peel_iterations) per frame, taken before
-    # peeling ran round-synchronously over numpy arrays: 20 frames of the C7
-    # block sweep, and 5 coupled frames each of the sim-exact and C8 shapes
-    block = [
-        sample_block_frame(m, g, 3, rng_stream(seed, t))
-        for m, g, seed in ((2000, 0.70, 70), (2000, 0.90, 90), (250, 0.75, 75), (1000, 0.75, 75), (4000, 0.75, 75))
-        for t in range(4)
-    ]
+    # sha256 of the (sorted(recovered), peel_iterations) list of each group,
+    # taken before peeling ran round-synchronously over numpy arrays: 20
+    # frames of the C7 block sweep, and 5 coupled frames each of the
+    # sim-exact and C8 shapes
+    c7 = ((2000, 0.70, 70), (2000, 0.90, 90), (250, 0.75, 75), (1000, 0.75, 75), (4000, 0.75, 75))
+    block = [sample_block_frame(m, g, 3, rng_stream(seed, t)) for m, g, seed in c7 for t in range(4)]
     coupled = [
         sample_coupled_frame(m, build_topology(l, 3), g, rng_stream(seed, t))
         for l, m, g, seed in ((20, 200, 0.90, 20), (50, 500, 0.88, 88))
