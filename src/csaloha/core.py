@@ -46,8 +46,8 @@ class LoadPoint:
     epsilon: float
 
     def __post_init__(self):
-        if self.g < 0.0:
-            raise ValueError(f"offered traffic must be >= 0, got {self.g}")
+        if not 0.0 <= self.g < math.inf:
+            raise ValueError(f"offered traffic must be finite and >= 0, got {self.g}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"activation probability must lie in [0,1], got {self.epsilon}")
 

@@ -21,6 +21,7 @@ class ThresholdBracketError(RuntimeError):
 # the stop rule of every density-evolution run, block or coupled (BlockDeConfig)
 TARGET_P = 1e-8
 STALL_EPS = 1e-12
+_BLOCK = 64  # iterates per block of a run (_run)
 
 
 @dataclass(frozen=True)
@@ -47,30 +48,47 @@ class BlockDeConfig:
 _DEFAULT_CFG = BlockDeConfig()
 
 
-def _run(steps, cfg: BlockDeConfig, record_trace: bool) -> DeResult:
-    """Draw (q, p, worst_p, change) from the step iterator until the stop
-    rule ends the run (see BlockDeConfig); trace collects the (q, p) pairs."""
+def _run(advance, cfg: BlockDeConfig, record_trace: bool) -> DeResult:
+    """Apply the stop rule (see BlockDeConfig) to iterates produced in blocks:
+    advance(n) returns the block's n message values q and its n+1 erasure
+    probabilities p, p[0] being the iterate before the block (rows of a
+    history buffer, or lists of floats). The rule reads the first qualifying
+    iterate of a block; blocks end at the cap. trace collects the (q, p)
+    pairs."""
     trace: list[tuple] | None = [] if record_trace else None
-    for it, (q, p, worst_p, change) in zip(range(1, cfg.max_iters + 1), steps):
-        if trace is not None:
-            trace.append((q, p))
-        if worst_p <= TARGET_P or change < STALL_EPS:
-            reason = "target" if worst_p <= TARGET_P else "stall"
+    it = 0
+    while True:
+        n = min(_BLOCK, cfg.max_iters - it)
+        qs, ps = advance(n)
+        p = np.asarray(ps).reshape(n + 1, -1)
+        worst = p[1:].max(axis=1)
+        hits = np.flatnonzero((worst <= TARGET_P) | (np.abs(p[:-1] - p[1:]).max(axis=1) < STALL_EPS))
+        k = int(hits[0]) + 1 if hits.size else n
+        if trace is not None:  # copies: advance reuses its buffers
+            trace.extend(zip(qs[:k].copy(), ps[1 : k + 1].copy()))
+        it += k
+        if hits.size or it == cfg.max_iters:
             break
-    else:
-        reason = "cap"
-    return DeResult(reason == "target", worst_p, it, tuple(trace) if trace is not None else None, reason)
+    reason = "cap" if not hits.size else "target" if worst[k - 1] <= TARGET_P else "stall"
+    return DeResult(reason == "target", float(worst[k - 1]), it, tuple(trace) if trace is not None else None, reason)
 
 
 def _iterate(d: int, g: float):
-    """The scalar block recursion as a step iterator for _run."""
+    """The scalar block recursion as an advance function for _run, in Python floats."""
     # q_l = p_{l-1}^{d-1};  p_l = 1 - exp(-g*d*q_l), from p_0 = 1
     p = 1.0
-    while True:
-        q = p ** (d - 1)
-        p_next = -math.expm1(-g * d * q)
-        yield q, p_next, p_next, p - p_next
-        p = p_next
+
+    def advance(n):
+        nonlocal p
+        qs, ps = [], [p]
+        for _ in range(n):
+            q = p ** (d - 1)
+            p = -math.expm1(-g * d * q)
+            qs.append(q)
+            ps.append(p)
+        return qs, ps
+
+    return advance
 
 
 def de_block_run(

@@ -5,19 +5,25 @@ threshold in offered traffic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import CoupledTopology, DeResult, ThresholdResult, build_topology
-from .de_block import _DEFAULT_CFG, BlockDeConfig, _run, threshold
+from .de_block import _BLOCK, _DEFAULT_CFG, BlockDeConfig, _run, threshold
 
 
 class _CoupledKernel:
     """The coupled update at one load g, with its constants, scratch buffers
     and array views set up once, so that a step allocates nothing.
 
-    Type i's k-th frame is i+k (mod m_f), so over all types the k-th frames
-    form the slice p[k:k+l]. On a circulant chain p is stored extended by its
-    first d-1 entries, so the same slices apply, and the messages that wrap
+    Iterates are produced in blocks of up to _BLOCK into a history buffer:
+    row t holds iterate t of the block and row 0 the one before it, so step
+    t reads row t-1 through its windows and writes row t in place; _run then
+    stops at the block's first iterate that meets the stop rule. Type i's
+    k-th frame is i+k (mod m_f), so over all types the k-th frames form the
+    window p[k:k+l]. On a circulant chain each row is stored extended by its
+    first d-1 entries, so the same windows apply, and the messages that wrap
     past frame l are folded back onto the head. Every product and sum runs in
     the order of a per-edge scatter that visits the types in increasing
     order, so the iterates equal that scatter's bit for bit.
@@ -29,68 +35,63 @@ class _CoupledKernel:
         self.delta = np.array(topo.delta, dtype=np.float64)
         self.neg_g_delta = -g * self.delta
         self.msgs = np.ones((d, l))  # msgs[k, i]: message of type i+1 toward its k-th frame
-        self.q = np.empty(m_f)  # per-position average of the incoming messages
         q_sum = np.empty(l + d - 1)
         self._q_sum, self._q_head = q_sum[:m_f], q_sum[: d - 1]
         self._sums = [q_sum[k : k + l] for k in range(d)]
         self._folds = [(q_sum[:k], self.msgs[k, l - k :]) for k in range(d - 1, 0, -1)] if self.wrap else []
-        # two p buffers in turn: (p, its d windows, extension tail, head it
-        # repeats); the tail is empty on a terminated chain
-        n_ext = l + d - 1 - m_f
-        bufs = (np.empty(l + d - 1), np.empty(l + d - 1))
-        self._bufs = [(b[:m_f], [b[k : k + l] for k in range(d)], b[m_f:], b[:n_ext]) for b in bufs]
-        self._cur = 0
-        p, _, tail, head = self._bufs[0]
-        np.copyto(p, p0)
-        np.copyto(tail, head)
-        self.p = self.prev = p
+        # per row: p, its d windows, and the extension tail with the head it
+        # repeats (both empty on a terminated chain)
+        hist = np.empty((_BLOCK + 1, l + d - 1))
+        self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
+        self.p = hist[:, :m_f]
+        self._rows = [(r[:m_f], [r[k : k + l] for k in range(d)], r[m_f:], r[: l + d - 1 - m_f]) for r in hist]
+        self._hist, self._last = hist, 0
+        np.copyto(self.p[0], p0)
+        np.copyto(self._rows[0][2], self._rows[0][3])
 
-    def advance(self) -> None:
-        """One parallel (flooding) update: self.prev becomes the old p, self.p
-        the new one, and self.q the new per-position message average."""
-        d, m = self.d, self.msgs
-        self.prev, w, _, _ = self._bufs[self._cur]
-        self._cur ^= 1
-        p, _, tail, head = self._bufs[self._cur]
-        if d > 1:
-            # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
-            np.copyto(m[1], w[0])
-            for k in range(2, d):
-                np.multiply(m[k - 1], w[k - 1], out=m[k])
-            # ... times suffix products right to left, m[k] *= w[d-1]*...*w[k+1];
-            # the running suffix product is kept in m[0] and ends as its message
-            right = w[d - 1]
-            for k in range(d - 2, 0, -1):
-                m[k] *= right
-                np.multiply(right, w[k], out=m[0])
-                right = m[0]
-            if d == 2:
-                np.copyto(m[0], right)
-        # each frame adds its types in increasing order, i.e. by decreasing k
-        self._q_head.fill(0.0)
-        np.copyto(self._sums[d - 1], m[d - 1])
-        for k in range(d - 2, -1, -1):
-            self._sums[k] += m[k]
-        for fold_head, fold_tail in self._folds:
-            fold_head += fold_tail
-        np.divide(self._q_sum, self.delta, out=self.q)
-        np.multiply(self.neg_g_delta, self.q, out=p)
-        np.expm1(p, out=p)
-        np.negative(p, out=p)
-        if self.wrap:
-            np.copyto(tail, head)
-        self.p = p
-
-
-def _steps(kernel: _CoupledKernel, record_trace: bool):
-    """The kernel's iterates as de_block._run's steps; q and p are copies
-    only when traced."""
-    diff = np.empty(kernel.p.size)
-    while True:
-        kernel.advance()
-        q, p = (kernel.q.copy(), kernel.p.copy()) if record_trace else (kernel.q, kernel.p)
-        np.subtract(kernel.prev, kernel.p, out=diff)
-        yield q, p, float(kernel.p.max()), float(np.abs(diff, out=diff).max())
+    def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
+        and n+1 rows of p, row 0 being the iterate before them."""
+        if self._last:
+            self._hist[0] = self._hist[self._last]
+        self._last = n
+        d, m, wrap, rows, q_rows = self.d, list(self.msgs), self.wrap, self._rows, self.q
+        q_sum, q_head, sums, folds = self._q_sum, self._q_head, self._sums, self._folds
+        delta, neg_g_delta = self.delta, self.neg_g_delta
+        mul, add, div, copyto, expm1, neg = np.multiply, np.add, np.divide, np.copyto, np.expm1, np.negative
+        for t in range(1, n + 1):
+            w, (p, _, tail, head), q = rows[t - 1][1], rows[t], q_rows[t - 1]
+            if d > 2:
+                # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
+                mul(w[0], w[1], m[2])
+                for k in range(3, d):
+                    mul(m[k - 1], w[k - 1], m[k])
+                # ... times suffix products right to left, m[k] *= w[d-1]*...*w[k+1];
+                # the running suffix product is kept in m[0] and ends as its message
+                right = w[d - 1]
+                for k in range(d - 2, 1, -1):
+                    mul(m[k], right, m[k])
+                    mul(right, w[k], m[0])
+                    right = m[0]
+                mul(w[0], right, m[1])
+                mul(right, w[1], m[0])
+            elif d == 2:
+                copyto(m[1], w[0])
+                copyto(m[0], w[1])
+            # each frame adds its types in increasing order, i.e. by decreasing k
+            q_head.fill(0.0)
+            copyto(sums[d - 1], m[d - 1])
+            for k in range(d - 2, -1, -1):
+                add(sums[k], m[k], sums[k])
+            for fold_head, fold_tail in folds:
+                add(fold_head, fold_tail, fold_head)
+            div(q_sum, delta, q)
+            mul(neg_g_delta, q, p)
+            expm1(p, p)
+            neg(p, p)
+            if wrap:
+                copyto(tail, head)
+        return q_rows[:n], self.p[: n + 1]
 
 
 def de_coupled_run(
@@ -101,9 +102,9 @@ def de_coupled_run(
 ) -> DeResult:
     """Iterate from the all-ones profile under de_block_run's stop rule, on
     the worst position's erasure probability, which is final_p."""
-    if g < 0.0:
-        raise ValueError(f"offered traffic must be >= 0, got {g}")
-    return _run(_steps(_CoupledKernel(topo, g), record_trace), cfg, record_trace)
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"offered traffic must be finite and >= 0, got {g}")
+    return _run(_CoupledKernel(topo, g).advance, cfg, record_trace)
 
 
 def coupled_threshold(

@@ -111,8 +111,8 @@ def sample_coupled_frame(
 
 
 def _draw_active(rng, g, m, alpha):
-    if g < 0.0:
-        raise ValueError(f"offered traffic must be >= 0, got {g}")
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"offered traffic must be finite and >= 0, got {g}")
     if alpha is None:
         return int(rng.poisson(g * m))
     if not 0.0 < alpha < math.inf:

@@ -81,6 +81,34 @@ def regenerate_constants(d):
     return g_star, block_it, map_bound
 
 
+def G_pot(d):
+    """The potential threshold of the block recursion x -> 1 - exp(-G d x^{d-1})
+    (Yedla-Jian-Nguyen-Pfister, scalar admissible system), in mpmath: the load
+    G at which U(x; G) = x^d - x^d/d - F(x^{d-1}; G), with
+    F(y; G) = y - (1 - e^{-G d y})/(G d), has a zero minimum over (0, 1].
+
+    The minimum sits at the nontrivial fixed point. Along the fixed points,
+    x = 1 - e^{-u} at G = u/(d x^{d-1}); u stays well conditioned where x
+    rounds towards 1 (x > 0.999 for d >= 7). U changes sign once on
+    [0.5, 2d], from positive (the fixed point above the zero potential) to
+    negative. d >= 3.
+    """
+    import mpmath as mp
+
+    mp.mp.dps = 50
+
+    def U(x, G):
+        y = x ** (d - 1)
+        return x**d - x**d / d - (y - (1 - mp.exp(-G * d * y)) / (G * d))
+
+    def on_fixed_points(u):
+        x = -mp.expm1(-u)
+        return U(x, u / (d * x ** (d - 1)))
+
+    u = mp.findroot(on_fixed_points, (mp.mpf("0.5"), mp.mpf(2 * d)), solver="anderson")
+    return float(u / (d * (-mp.expm1(-u)) ** (d - 1)))
+
+
 def extrinsic_p(d, alpha, eps):
     """Extrinsic erasure curve p_e(eps) = lim q^d under
     q <- 1 - exp(-d alpha eps q^{d-1}) from q = 1."""

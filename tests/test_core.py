@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def test_load_point_constructors():
         LoadPoint(g=-0.1, epsilon=0.0)
     with pytest.raises(ValueError):
         LoadPoint(g=0.1, epsilon=1.5)
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf])
+def test_load_point_rejects_non_finite_load(g):
+    with pytest.raises(ValueError, match="offered traffic"):
+        LoadPoint(g=g, epsilon=0.0)
 
 
 def test_build_topology_small_examples():

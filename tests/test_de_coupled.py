@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from csaloha import (
     de_coupled_run,
     termination_adjusted_load,
 )
+from csaloha.de_block import _BLOCK, STALL_EPS, TARGET_P
 from csaloha.de_coupled import _CoupledKernel
 from oracles import coupled_de_step_reference
 
@@ -21,9 +23,9 @@ from oracles import coupled_de_step_reference
 def test_step_zero_profile_is_absorbing():
     topo = build_topology(5, 3)
     kernel = _CoupledKernel(topo, 0.9, np.zeros(topo.m_f))
-    kernel.advance()
+    _, p = kernel.advance(1)
     assert np.all(kernel.msgs == 0.0)
-    assert np.all(kernel.p == 0.0)
+    assert np.all(p == 0.0)
 
 
 def test_step_all_ones_interior_and_boundary():
@@ -31,11 +33,11 @@ def test_step_all_ones_interior_and_boundary():
     # p_j = 1 - exp(-g * delta_j)
     topo = build_topology(200, 3)
     kernel = _CoupledKernel(topo, 0.9)
-    kernel.advance()
+    p = kernel.advance(1)[1][1]
     assert np.all(kernel.msgs == 1.0)
-    assert kernel.p[100] == pytest.approx(0.93279448726025023, abs=1e-15)  # delta=3
-    assert kernel.p[0] == pytest.approx(0.59343034025940089, abs=1e-15)  # delta=1
-    assert np.all((kernel.p >= 0.0) & (kernel.p <= 1.0))
+    assert p[100] == pytest.approx(0.93279448726025023, abs=1e-15)  # delta=3
+    assert p[0] == pytest.approx(0.59343034025940089, abs=1e-15)  # delta=1
+    assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_run_spatial_symmetry_and_monotonicity():
@@ -178,13 +180,52 @@ def test_run_matches_edge_by_edge_oracle(topo, g):
         prev = list(p)
 
 
+def _run_both(g, max_iters):
+    """The untraced and traced d=3, l=200 runs, checked to agree."""
+    topo, cfg = build_topology(200, 3), BlockDeConfig(max_iters=max_iters)
+    res, traced = de_coupled_run(topo, g, cfg), de_coupled_run(topo, g, cfg, record_trace=True)
+    outcome = lambda r: (r.converged, r.final_p, r.iterations, r.stop_reason)
+    assert outcome(traced) == outcome(res)
+    assert len(traced.trace) == res.iterations
+    return res, traced
+
+
+# Runs advance in blocks of _BLOCK = 64 iterates: caps 63, 64, 65 and 128 end
+# inside a block, on its last iterate, one past it and two blocks on; at
+# g=0.813 the target is met on iteration 64, so it wins over a cap of 64.
 @pytest.mark.parametrize(
     "g,max_iters,reason,converged",
-    [(0.9, 100_000, "target", True), (0.95, 100_000, "stall", False), (0.9, 50, "cap", False)],
+    [
+        (0.9, 100_000, "target", True), (0.95, 100_000, "stall", False), (0.9, 50, "cap", False),
+        (0.9, 63, "cap", False), (0.9, 64, "cap", False), (0.9, 65, "cap", False),
+        (0.9, 128, "cap", False), (0.813, 64, "target", True),
+    ],
 )
 def test_run_stop_reason(g, max_iters, reason, converged):
-    res = de_coupled_run(build_topology(200, 3), g, BlockDeConfig(max_iters=max_iters))
+    res, _ = _run_both(g, max_iters)
     assert res.stop_reason == reason
     assert res.converged is converged
     if reason == "cap":
         assert res.iterations == max_iters
+
+
+@pytest.mark.parametrize(
+    "g,reason,iterations",
+    [(0.813, "target", 64), (0.81315, "target", 65), (1.046, "stall", 64), (1.043, "stall", 65)],
+)
+def test_run_stops_on_block_boundary(g, reason, iterations):
+    assert _BLOCK == 64  # the iteration counts below sit on and just past a block's end
+    res, traced = _run_both(g, 100_000)
+    assert (res.stop_reason, res.iterations) == (reason, iterations)
+    # the stop rule applied iterate by iterate holds first on the last one
+    prev, met = np.ones(202), []
+    for _, p in traced.trace:
+        met.append(p.max() <= TARGET_P or np.abs(prev - p).max() < STALL_EPS)
+        prev = p
+    assert met.index(True) == iterations - 1
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -0.1])
+def test_run_rejects_bad_load(g):
+    with pytest.raises(ValueError, match="offered traffic"):
+        de_coupled_run(build_topology(5, 3), g, BlockDeConfig(max_iters=10))

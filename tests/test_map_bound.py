@@ -6,6 +6,7 @@ import csaloha.map_bound as mb
 from csaloha import AreaSolutionError, SchemeParams, map_load_bound
 from oracles import (
     BLOCK_IT,
+    G_pot,
     MAP_BOUND,
     adaptive_simpson,
     extrinsic_p,
@@ -68,6 +69,15 @@ def test_map_load_bound_matches_closed_form(d):
     # at these alpha the balance is alpha-free to far below float precision
     for alpha in (100.0, 200.0):
         assert map_load_bound(SchemeParams(d, alpha)) == pytest.approx(MAP_BOUND[d], abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+def test_map_load_bound_matches_potential_threshold(d):
+    # a second route to the bound that shares no derivation with the area
+    # balance or the quadrature oracle: the potential function's zero minimum
+    g_pot = G_pot(d)
+    for alpha in (100.0, 200.0):
+        assert abs(map_load_bound(SchemeParams(d, alpha)) - g_pot) <= 1e-10
 
 
 def test_map_epsilon_bound_scales_as_inverse_alpha():

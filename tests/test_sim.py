@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from csaloha import (
     FrameGraph,
     build_circulant_topology,
     build_topology,
+    de_coupled_run,
     gje_decode,
     peel,
     rng_stream,
@@ -86,6 +88,16 @@ def test_sample_block_frame_rejects():
         sample_block_frame(10, -0.5, 3, rng)
     with pytest.raises(ValueError):
         sample_block_frame(10, 20.0, 3, rng, alpha=10.0)  # epsilon > 1
+
+
+@pytest.mark.parametrize("alpha", [None, 10.0])
+@pytest.mark.parametrize("g", [math.nan, math.inf])
+def test_samplers_reject_non_finite_load(g, alpha):
+    rng = rng_stream(0, 0)
+    with pytest.raises(ValueError, match="offered traffic"):
+        sample_block_frame(10, g, 3, rng, alpha=alpha)
+    with pytest.raises(ValueError, match="offered traffic"):
+        sample_coupled_frame(10, build_topology(4, 3), g, rng, alpha=alpha)
 
 
 def test_sample_coupled_frame_structure():
@@ -199,6 +211,25 @@ def test_peel_rounds_pinned():
 
 BLOCK_PEEL_DIGEST = "bd94d472eeeee34947fe7af41e7d27bd70d1705d67bc25e2338dce42ed09b38b"
 COUPLED_PEEL_DIGEST = "b68dee566a5ef041236f3e3cf2a9d0730cbe861e1712ccde6c192053a15373a4"
+
+
+@pytest.mark.parametrize("l,g,de_iterations", [(50, 0.85, 99), (20, 0.90, 118), (50, 0.88, 186)])
+def test_peel_rounds_follow_the_de_schedule(l, g, de_iterations):
+    # The decoding wave seen twice: coupled DE's iterations to target (m -> oo)
+    # and the median peel rounds of the m=2000 super-frames that peel in full.
+    # At seeds 0-7 (rng_stream(seed, 0..19)) the ratio peel/DE spanned
+    # 0.985-1.129 over these three cases; finite m lags the DE schedule, so it
+    # sits above 1, most at g=0.88 (seed 0: 210 rounds against 186).
+    topo = build_topology(l, 3)
+    assert de_coupled_run(topo, g).iterations == de_iterations
+    rounds = []
+    for s in range(20):
+        frame = sample_coupled_frame(2000, topo, g, rng_stream(0, s))
+        res = peel(frame)
+        if len(res.recovered) == frame.n_active:
+            rounds.append(res.peel_iterations)
+    assert len(rounds) >= 10
+    assert 0.95 <= statistics.median(rounds) / de_iterations <= 1.20
 
 
 def test_gje_identity_matrix():
