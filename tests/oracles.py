@@ -89,9 +89,8 @@ def G_pot(d):
 
     The minimum sits at the nontrivial fixed point. Along the fixed points,
     x = 1 - e^{-u} at G = u/(d x^{d-1}); u stays well conditioned where x
-    rounds towards 1 (x > 0.999 for d >= 7). U changes sign once on
-    [0.5, 2d], from positive (the fixed point above the zero potential) to
-    negative. d >= 3.
+    rounds towards 1 (x > 0.999 for d >= 7). On [0.5, 2d] U changes sign
+    once along them, from positive at small u to negative. d >= 3.
     """
     import mpmath as mp
 

@@ -110,7 +110,9 @@ def test_infinite_alpha_is_a_parameter_error(capsys, command):
 @pytest.mark.parametrize("g", ["nan", "inf"])
 def test_non_finite_load_is_a_parameter_error(capsys, g, extra):
     scenario = "coupled" if "--l" in extra else "block"
-    rc, out, err = run_cli(capsys, "simulate", scenario, "--d", "3", "--g", g, "--slots", "100", "--trials", "2", *extra)
+    rc, out, err = run_cli(
+        capsys, "simulate", scenario, "--d", "3", "--g", g, "--slots", "100", "--trials", "2", *extra
+    )
     assert rc == 2 and out == ""
     assert f"parameter error: offered traffic must be finite and >= 0, got {g}" in err
 
