@@ -36,8 +36,7 @@ class FrameGraph:
         if self.slots.size:
             if self.slots.min() < 0 or self.slots.max() >= self.n_slots:
                 raise ValueError("slot indices out of range")
-            srt = np.sort(self.slots, axis=1)
-            if self.d > 1 and (np.diff(srt, axis=1) == 0).any():
+            if _repeats_a_slot(self.slots).any():
                 raise ValueError("a burst lists the same slot twice")
         if self.user_type is not None:
             self.user_type = np.asarray(self.user_type, dtype=np.int64)
@@ -82,13 +81,20 @@ def sample_block_frame(
         raise ValueError(f"need at least d={d} slots, got m={m}")
     n = _draw_active(rng, g, m, alpha)
     slots = rng.integers(0, m, size=(n, d), dtype=np.int64)
-    if d > 1:
-        while True:
-            clash = (np.diff(np.sort(slots, axis=1), axis=1) == 0).any(axis=1)
-            if not clash.any():
-                break
-            slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d), dtype=np.int64)
+    while (clash := _repeats_a_slot(slots)).any():
+        slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d), dtype=np.int64)
     return FrameGraph(n_slots=m, d=d, slots=slots)
+
+
+def _repeats_a_slot(slots: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, d) slot array list some slot twice, by comparing
+    every pair of columns: for the small d of a repetition code this is
+    cheaper than sorting each row."""
+    clash = np.zeros(slots.shape[0], dtype=bool)
+    for i in range(1, slots.shape[1]):
+        for j in range(i):
+            clash |= slots[:, i] == slots[:, j]
+    return clash
 
 
 def sample_coupled_frame(
@@ -133,59 +139,119 @@ def peel(frame: FrameGraph) -> DecodeReport:
     frontier the slots whose degree fell from 2 or more to at most 1 in that
     round. peel_iterations is the number of rounds whose frontier was
     non-empty, including a last round whose slots were all cleared in the
-    round before it: a two-burst chain over three slots takes two rounds."""
-    return _decode(frame)
+    round before it: a two-burst chain over three slots takes two rounds.
+    The frame is decoded as a batch of one (see _decode)."""
+    return _report(frame, exact=False)
 
 
 def gje_decode(frame: FrameGraph) -> DecodeReport:
     """Exact (genie-aided MAP) decoder: peeling plus inactivation (see _decode)."""
-    return _decode(frame, exact=True)
+    return _report(frame, exact=True)
 
 
-def _decode(frame: FrameGraph, exact: bool = False) -> DecodeReport:
-    """Peeling, then (if exact) inactivation decoding.
+def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
+    peeled, recovered, rounds, rank, k = _decode([frame], exact)
+    peeled_set = frozenset(np.flatnonzero(peeled).tolist())
+    if not exact:
+        return DecodeReport(peeled_set, peeled_set, int(rounds[0]))
+    recovered_set = frozenset(np.flatnonzero(recovered).tolist())
+    return DecodeReport(recovered_set, peeled_set, int(rounds[0]), int(rank[0]), int(k[0]))
 
-    Peeling runs round-synchronously over numpy arrays (see peel). When it
-    stalls and an exact result is asked for, the lowest-numbered unresolved
-    burst of the lowest-numbered minimum-degree slot is inactivated: it
-    becomes the unknown x_j, is cancelled from its slots, and peeling resumes
-    in _peel_rounds, the only loop that carries the masks. Every slot and
-    every later-solved burst carries its dependence on x as a bitmask. Once no burst is unresolved,
-    the slots that solved no burst hold the constraints mask . x = known; a
-    burst is recovered iff its mask lies in their span, and the system's rank
-    is n - k + rank(constraints).
+
+def _decode(frames: list[FrameGraph], exact: bool = False):
+    """Peel a batch of frames of one degree d as one disjoint graph, then (if
+    exact) finish each frame that stalls by inactivation decoding.
+
+    The union numbers frame f's bursts and slots after those of frames
+    0..f-1, so its components are the frames, and each round of the union
+    (see peel) is a round of every frame at once: one set of numpy calls per
+    round serves the whole batch. A frame's peel_iterations is the last round
+    in which its own slots were in the frontier, the count it has when
+    decoded alone. The exact continuation (_inactivate) then runs frame by
+    frame on the residual that the batched peel leaves.
+
+    Returns (peeled, recovered, rounds, rank, inactivations): boolean masks
+    over the union's bursts, then one int64 entry per frame. Unless exact,
+    recovered is peeled and rank and inactivations are None.
     """
-    n, m, d = frame.n_active, frame.n_slots, frame.d
-    flat = frame.slots.ravel()  # int64 and C-contiguous
+    d = frames[0].d
+    n_of = [f.n_active for f in frames]
+    b_start = np.cumsum([0, *n_of])
+    s_start = np.cumsum([0, *(f.n_slots for f in frames)])
+    n, m = int(b_start[-1]), int(s_start[-1])
+    rows = np.empty((n, d), dtype=np.int64)
+    for f, lo, hi, s0 in zip(frames, b_start, b_start[1:], s_start):
+        np.add(f.slots, s0, out=rows[lo:hi])
+    flat = rows.ravel()
     deg_v = np.bincount(flat, minlength=m).astype(np.int64, copy=False)
     acc_v = np.zeros(m, dtype=np.int64)  # XOR of resident burst ids
-    np.bitwise_xor.at(acc_v, flat, np.repeat(np.arange(n, dtype=np.int64), d))
+    np.bitwise_xor.at(acc_v, rows, np.arange(n, dtype=np.int64)[:, None])
     solved_v = np.zeros(n, dtype=np.uint8)  # 1 once solved or inactivated
+    last = np.zeros(m, dtype=np.int64)  # the last round the slot was in the frontier
 
-    rounds = 0
+    r = 0
     frontier = (deg_v == 1).nonzero()[0]
     while frontier.size:
-        rounds += 1
+        r += 1
+        last[frontier] = r
         b = _distinct(acc_v[frontier[deg_v[frontier] == 1]])
         solved_v[b] = 1
-        t = frame.slots.take(b, 0).ravel()
+        t = rows.take(b, 0)
         before = deg_v[t]
         np.subtract.at(deg_v, t, 1)
-        np.bitwise_xor.at(acc_v, t, b.repeat(d))
+        np.bitwise_xor.at(acc_v, t, b[:, None])
         frontier = t[(before >= 2) & (deg_v[t] <= 1)]
-    peeled = frozenset(np.flatnonzero(solved_v).tolist())
+    rounds = np.maximum.reduceat(last, s_start[:-1])  # every frame has a slot
+    peeled = solved_v.astype(bool)
     if not exact:
-        return DecodeReport(peeled, peeled, rounds)
+        return peeled, peeled, rounds, None, None
 
-    # the exact pass indexes through memoryviews: plain ints, no numpy scalars
+    rank, k = np.array(n_of, dtype=np.int64), np.zeros(len(frames), dtype=np.int64)
+    recovered = np.ones(n, dtype=bool)
+    for f in np.flatnonzero(np.maximum.reduceat(deg_v, s_start[:-1])):
+        (b0, b1), (s0, s1) = b_start[f : f + 2].tolist(), s_start[f : f + 2].tolist()
+        lost, rank[f], k[f] = _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1)
+        recovered[lost] = False
+    return peeled, recovered, rounds, rank, k
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The values of a, sorted (in place) and without repeats. Not np.unique:
+    its first call adds over 1 MB of resident memory."""
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[int], int, int]:
+    """Inactivation decoding of the frame with bursts b0..b1-1 and slots
+    s0..s1-1, whose peeling stalled; it updates the union's arrays in place.
+
+    The lowest-numbered unresolved burst of the lowest-numbered minimum-degree
+    slot is inactivated: it becomes the unknown x_j, is cancelled from its
+    slots, and peeling resumes in _peel_rounds, the only loop that carries the
+    masks. Every slot and every later-solved burst carries its dependence on x
+    as a bitmask. Once no burst is unresolved, the slots that solved no burst
+    hold the constraints mask . x = known. A burst is recovered iff its mask
+    lies in their span, that is iff it has even parity against each vector of
+    the constraints' null space. Returns (the bursts not recovered, the
+    frame's rank n - k + rank(constraints), k).
+    """
+    # indexing through memoryviews gives plain ints, no numpy scalars
     rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
+    local = flat[b0 * d : b1 * d] - s0
+    residents = np.argsort(local, kind="stable")  # burst ids grouped by slot
+    residents //= d
+    residents += b0
+    first = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=s1 - s0))))
+    deg_f = deg_v[s0:s1]
     smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
-    residents = np.argsort(flat, kind="stable") // d  # burst ids grouped by slot
-    first = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
     k = 0
-    while (live := np.flatnonzero(deg_v)).size:
-        s = int(live[np.argmin(deg_v[live])])
+    while (live := np.flatnonzero(deg_f)).size:
+        s = int(live[np.argmin(deg_f[live])])
         b = next(int(b) for b in residents[first[s] : first[s + 1]] if not solved[b])
         solved[b] = 1
         bmask[b] = bit = 1 << k
@@ -205,20 +271,11 @@ def _decode(frame: FrameGraph, exact: bool = False) -> DecodeReport:
     for v in smask.values():
         if v := _reduce(v, basis):
             basis[v.bit_length() - 1] = v
-    recovered = frozenset(range(n))
+    lost = []
     if len(basis) < k:  # at full rank every mask lies in the span
-        recovered -= {b for b, v in bmask.items() if _reduce(v, basis)}
-    return DecodeReport(recovered, peeled, rounds, n - k + len(basis), k)
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The values of a, sorted (in place) and without repeats. Not np.unique:
-    its first call adds over 1 MB of resident memory."""
-    a.sort()
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+        nulls = _null_space(basis, k)
+        lost = [b for b, v in bmask.items() if any((v & z).bit_count() & 1 for z in nulls)]
+    return lost, b1 - b0 - k + len(basis), k
 
 
 def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> None:
@@ -249,6 +306,29 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     while v and (r := basis.get(v.bit_length() - 1)):
         v ^= r
     return v
+
+
+def _null_space(basis: dict[int, int], k: int) -> list[int]:
+    """A basis of the k-bit vectors z with even parity against every row of
+    the echelon basis (keyed by leading bit): one vector per free bit."""
+    pivots = sum(1 << p for p in basis)
+    reduced: dict[int, int] = {}  # the rows in reduced echelon form
+    for p in sorted(basis):
+        v, below = basis[p], basis[p] & pivots & ((1 << p) - 1)
+        while below:  # a reduced row holds no pivot bit but its own
+            q = below.bit_length() - 1
+            v ^= reduced[q]
+            below ^= 1 << q
+        reduced[p] = v
+    free = ((1 << k) - 1) ^ pivots
+    nulls = {f: 1 << f for f in range(k) if free >> f & 1}
+    for p, row in reduced.items():
+        row &= free
+        while row:
+            f = row.bit_length() - 1
+            nulls[f] |= 1 << p
+            row ^= 1 << f
+    return list(nulls.values())
 
 
 # ------------------------------------------------------------------ trials
@@ -296,27 +376,42 @@ class SimReport:
         return out
 
 
+# Bursts that _trial_batch collects before it decodes the frames as one
+# graph. Larger batches share each round's numpy calls among more frames but
+# hold more memory: at 4096 the sim-exact benchmark's peak resident memory
+# rose by ~0.3 MB over decoding frame by frame, and at 2048 no workload's did.
+_BATCH_BURSTS = 2048
+
+
 def _trial_batch(ids, sample, n_types, exact, seed):
-    """One (3, n_types) int64 record per trial t in ids, counted by user type
-    (a block frame has one type): row 0 the bursts generated, row 1 those
-    peeling lost, row 2 those the decoder's result lost."""
-    out = []
-    for t in ids:
-        frame = sample(rng=rng_stream(seed, t))
-        types = np.zeros(frame.n_active, np.int64) if frame.user_type is None else frame.user_type - 1
-        dec = _decode(frame, exact=exact)
-        gen = np.bincount(types, minlength=n_types)
-        peel_lost = _lost_by_type(dec.peeled, types, gen)
-        lost = peel_lost if dec.recovered is dec.peeled else _lost_by_type(dec.recovered, types, gen)
-        out.append(np.array([gen, peel_lost, lost]))
-        del frame, dec, types  # else they stay alive through the next trial and raise peak memory
-    return out
+    """A (len(ids), 3, n_types) int64 array: per trial t in ids, the bursts
+    counted by user type (a block frame has one type), row 0 those generated,
+    row 1 those peeling lost, row 2 those the decoder's result lost.
+
+    Frame t is drawn from rng_stream(seed, t). Frames are collected until
+    they hold _BATCH_BURSTS bursts, and each such batch is decoded as one
+    disjoint graph (see _decode), so the counts do not depend on the
+    batching."""
+    counts, frames, size = [], [], 0
+    for i, t in enumerate(ids, 1):
+        frames.append(sample(rng=rng_stream(seed, t)))
+        size += frames[-1].n_active
+        if size >= _BATCH_BURSTS or i == len(ids):
+            counts.append(_count_losses(frames, n_types, exact))
+            frames, size = [], 0
+    return np.concatenate(counts)
 
 
-def _lost_by_type(kept, types, gen):
-    if len(kept) == len(types):  # decoded in full, as most frames are below threshold
-        return gen - gen
-    return gen - np.bincount(types[np.fromiter(kept, np.int64, len(kept))], minlength=len(gen))
+def _count_losses(frames, n_types, exact):
+    peeled, recovered, *_ = _decode(frames, exact)
+    # one bin per (frame, type)
+    types = [np.zeros(f.n_active, np.int64) if f.user_type is None else f.user_type - 1 for f in frames]
+    bins = len(frames) * n_types
+    key = np.concatenate(types) + np.repeat(np.arange(0, bins, n_types), [f.n_active for f in frames])
+    gen = np.bincount(key, minlength=bins)
+    peel_lost = np.bincount(key[~peeled], minlength=bins)
+    lost = peel_lost if recovered is peeled else np.bincount(key[~recovered], minlength=bins)
+    return np.stack([c.reshape(len(frames), n_types) for c in (gen, peel_lost, lost)], axis=1)
 
 
 def _ratio_ci95(lost, gen):
@@ -364,7 +459,7 @@ def run_trials(
     batch = partial(_trial_batch, sample=sample, n_types=n_types, exact=decoder != "peeling", seed=seed)
     # four chunks per worker, so that a slow chunk does not hold up the rest
     chunks = np.array_split(np.arange(trials), min(4 * pool_size(workers, trials), trials))
-    counts = np.stack([r for rs in pool_map(batch, [c.tolist() for c in chunks], workers) for r in rs])
+    counts = np.concatenate(pool_map(batch, [c.tolist() for c in chunks], workers))
 
     primary = 2 if decoder == "gje" else 1
     by_trial, by_type = counts.sum(axis=2), counts.sum(axis=0)  # (trial, row), (row, type)

@@ -18,6 +18,7 @@ from csaloha import (
     sample_block_frame,
     sample_coupled_frame,
 )
+from csaloha import sim
 from oracles import access_frames, dense_gje_decode, enumerate_recoverable, naive_peel
 
 
@@ -40,6 +41,22 @@ def test_frame_graph_validation():
         FrameGraph(n_slots=4, d=2, slots=np.array([[0, 1]]), user_type=np.array([1, 2]))
     with pytest.raises(ValueError):
         FrameGraph(n_slots=0, d=1, slots=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_repeated_slot_rows_match_the_sort_test(d):
+    # the pairwise column comparison flags exactly the rows that sorting each
+    # row and looking for equal neighbours flags
+    rng = np.random.default_rng(d)
+    for m in (d, d + 1, 3 * d, 50):
+        slots = rng.integers(0, m, size=(400, d))
+        if d > 1:  # force a repeat into every third row, at random columns
+            i, j = rng.choice(d, size=2, replace=False)
+            slots[::3, i] = slots[::3, j]
+        want = (np.diff(np.sort(slots, axis=1), axis=1) == 0).any(axis=1)
+        assert np.array_equal(sim._repeats_a_slot(slots), want)
+        assert want.any() == (d > 1)
+    assert not sim._repeats_a_slot(np.zeros((0, d), dtype=np.int64)).any()
 
 
 def test_sample_block_frame_zero_load():
@@ -301,6 +318,76 @@ def test_gje_matches_dense_oracle():
     for f in frames:
         rep = gje_decode(f)
         assert (rep.recovered, rep.gje_rank) == dense_gje_decode(f)
+
+
+def test_gje_rank_deficient_matches_dense_oracle():
+    # above the block threshold most frames have rank < n: the constraints
+    # left after inactivation do not pin every inactivated burst, and the
+    # recovered set comes from the null-space parity test
+    loads = ((300, 0.95), (400, 1.0), (200, 1.1))
+    frames = [sample_block_frame(m, g, 3, rng_stream(95, t)) for m, g in loads for t in range(4)]
+    deficient = 0
+    for f in frames:
+        rep = gje_decode(f)
+        assert (rep.recovered, rep.gje_rank) == dense_gje_decode(f)
+        deficient += rep.gje_rank < f.n_active
+    assert deficient >= 8
+
+
+def _batch_views(frames, exact):
+    """Per frame (recovered, peeled, peel_iterations, gje_rank, inactivations)
+    from decoding the frames as one batch, as sets and ints."""
+    peeled, recovered, rounds, rank, k = sim._decode(frames, exact)
+    start = np.cumsum([0] + [f.n_active for f in frames])
+    out = []
+    for i, (lo, hi) in enumerate(zip(start, start[1:])):
+        as_set = lambda mask: frozenset(np.flatnonzero(mask[lo:hi]).tolist())  # noqa: E731
+        extra = (int(rank[i]), int(k[i])) if exact else (None, None)
+        out.append((as_set(recovered), as_set(peeled), int(rounds[i]), *extra))
+    return out
+
+
+def test_batched_decoding_matches_frame_by_frame():
+    # a batch is one disjoint graph: every frame in it gets the recovered and
+    # peeled sets, rounds, rank and inactivations it gets when decoded alone
+    empty = FrameGraph(n_slots=7, d=3, slots=np.zeros((0, 3), dtype=np.int64))
+    frames = [
+        empty,
+        sample_block_frame(300, 0.5, 3, rng_stream(1, 0)),  # peels in full
+        sample_block_frame(300, 1.0, 3, rng_stream(1, 1)),  # stalls
+        FrameGraph(n_slots=4, d=3, slots=np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])),
+        sample_coupled_frame(500, build_topology(50, 3), 0.88, rng_stream(88, 0)),  # C8 wave
+        empty,
+        sample_coupled_frame(40, build_circulant_topology(8, 3), 0.95, rng_stream(2, 0)),
+        sample_block_frame(250, 0.75, 3, rng_stream(75, 0)),
+        sample_coupled_frame(200, build_topology(20, 3), 0.9, rng_stream(20, 0)),
+        empty,
+    ]
+    alone = [
+        (g.recovered, g.peeled, g.peel_iterations, g.gje_rank, g.inactivations)
+        for g in map(gje_decode, frames)
+    ]
+    assert any(a[4] for a in alone) and any(not a[4] for a in alone[1:])
+    order = [4, 0, 2, 9, 6, 1, 8, 3, 7, 5]
+    for batch in (frames, frames[::-1], [frames[i] for i in order], frames[3:5]):
+        want = [alone[frames.index(f)] for f in batch]  # frames compare by identity
+        assert _batch_views(batch, exact=True) == want
+        assert _batch_views(batch, exact=False) == [(p, p, r, None, None) for _, p, r, _, _ in want]
+
+
+@pytest.mark.parametrize("decoder", ["peeling", "gje", "both"])
+def test_run_trials_payload_does_not_depend_on_batching(monkeypatch, decoder):
+    # one frame per batch, batches that split a worker chunk, and the whole
+    # chunk as one batch, against the default budget
+    runs = [
+        ("block", dict(m=120, d=3, g=0.95, trials=24, seed=5)),
+        ("block", dict(m=60, d=3, g=0.0, trials=5, seed=1)),
+        ("coupled", dict(m=40, d=3, g=0.9, trials=12, seed=6, l=8)),
+    ]
+    default = [run_trials(sc, decoder=decoder, **kw).to_dict() for sc, kw in runs]
+    for budget in (1, 300, 10**9):
+        monkeypatch.setattr(sim, "_BATCH_BURSTS", budget)
+        assert [run_trials(sc, decoder=decoder, **kw).to_dict() for sc, kw in runs] == default
 
 
 def test_gje_inactivation_count():
