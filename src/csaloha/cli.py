@@ -159,6 +159,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=list(formats), default=default)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
+    def de_opts(p):
+        p.add_argument("--tol", type=float, default=None,
+                       help="bisection tolerance (default: 1e-5 for the block column, 1e-4 for the coupled column)")
+        p.add_argument("--max-iters", type=int, default=None,
+                       help="iteration cap of each density-evolution run (default: 1e5)")
+
     p = sub.add_parser("bound", help="load bound G* for rate R = 1/d")
     p.add_argument("--d", type=int, required=True)
     common(p, "text", formats=("text", "json", "csv"))
@@ -168,16 +174,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--l", type=int, default=200)
     p.add_argument("--alpha", type=float, default=100.0)
-    p.add_argument("--tol", type=float, default=None, help="bisection tolerance override")
-    p.add_argument("--max-iters", type=int, default=None)
+    de_opts(p)
     common(p, "csv")
     p.set_defaults(fn=_cmd_thresholds)
 
     p = sub.add_parser("sweep", help="rate sweep of thresholds vs the load bound")
     p.add_argument("--d-list", default="", help="comma-separated degrees, e.g. 2,3,4")
     p.add_argument("--l", type=int, default=200)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
+    de_opts(p)
     common(p, "csv")
     p.set_defaults(fn=_cmd_sweep)
 

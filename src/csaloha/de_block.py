@@ -22,6 +22,9 @@ class ThresholdBracketError(RuntimeError):
 TARGET_P = 1e-8
 STALL_EPS = 1e-12
 _BLOCK = 64  # iterates per block of a run (_run)
+# absolute bisection tolerance in u = -ln(1-q) (_jump_u, map_bound); near a
+# large upper bracket end the float spacing ends the search first
+_U_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -144,17 +147,27 @@ def block_threshold(d: int, cfg: BlockDeConfig = _DEFAULT_CFG, bisect_tol: float
     return threshold(d, lambda g: _run(_iterate(d, g), cfg, False).converged, bisect_tol)
 
 
+def _jump_u(d: int, top: float) -> float:
+    """u = -ln(1 - q) at the jump of the block fixed-point curve: the root of
+    q/(1-q) + (d-1) ln(1-q) = 0 in (0, top], by bisection to _U_TOL (0 for
+    d <= 2, where the curve rises continuously from zero). The block
+    threshold and the MAP bound both start from it."""
+    # below the jump q/(1-q) + (d-1) ln(1-q) < 0, i.e. q < (d-1) u (1-q)
+    u, _, _ = bisect_load(lambda u: -math.expm1(-u) < (d - 1) * u * math.exp(-u), 0.0, top, _U_TOL)
+    return u
+
+
 def block_threshold_grid(d: int) -> float:
-    """Analytic route to the same threshold: the convergence condition
-    q > (1 - e^{-q*G*d})^{d-1} for all q in (0,1] first fails where
-    G = -ln(1 - q^{1/(d-1)}) / (q*d), so the threshold is that expression's
-    minimum over a dense q-grid."""
+    """Closed-form route to the same threshold: the convergence condition
+    q > (1 - e^{-q*G*d})^{d-1} for all q in (0,1] first fails at the jump u
+    (_jump_u), so the threshold is u / (d (1 - e^{-u})^{d-1}), with the limit
+    1/2 at d=2. (The name is from an earlier minimisation over a dense grid.)"""
     if d < 2:
         raise ValueError(f"threshold search needs d >= 2, got {d}")
-    q = np.linspace(1e-7, 1.0 - 1e-9, 200_000)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_crit = -np.log(1.0 - q ** (1.0 / (d - 1))) / (q * d)
-    return float(np.nanmin(g_crit))
+    if d == 2:
+        return 0.5
+    u = _jump_u(d, float(d))  # e^d - 1 > (d-1) d for d >= 3: the jump lies below d
+    return u / (d * (-math.expm1(-u)) ** (d - 1))
 
 
 def solve_load_bound(rate: float) -> float:
@@ -168,7 +181,7 @@ def solve_load_bound(rate: float) -> float:
     f = lambda g: g - 1.0 + math.exp(-g * inv_r)
     if f(1e-12) >= 0.0:  # slope barely above 1: root collapses to 0
         return 0.0
-    lo, hi, _ = bisect_load(lambda g: g - 1.0 + math.exp(-g * inv_r) < 0.0, 1e-12, 1.0, 1e-15)
+    lo, hi, _ = bisect_load(lambda g: f(g) < 0.0, 1e-12, 1.0, 1e-15)
     root = 0.5 * (lo + hi)
     if abs(f(root)) > 1e-12:
         raise ArithmeticError(f"load-bound residual {f(root):.3e} exceeds 1e-12")

@@ -15,11 +15,7 @@ from __future__ import annotations
 import math
 
 from .core import SchemeParams
-from .de_block import bisect_load
-
-# absolute bisection tolerance in u; near u_1 = d alpha the float spacing
-# ends the search first
-_U_TOL = 1e-15
+from .de_block import _U_TOL, _jump_u, bisect_load
 
 
 class AreaSolutionError(ArithmeticError):
@@ -44,15 +40,13 @@ def map_load_bound(params: SchemeParams) -> float:
     """The bound in offered traffic, alpha * epsilon-bar = u/(d q^{d-1}) at q-bar.
 
     The balance reads G(q-bar) = G(q_1) - (alpha - 1), searched above the
-    curve's jump q_jump, the root of q/(1-q) + (d-1) ln(1-q) = 0 (0 for d <= 2,
-    where the curve rises continuously from zero). Raises AreaSolutionError if
+    curve's jump u_jump (_jump_u, 0 for d <= 2), the point whose load is also
+    the block threshold (block_threshold_grid). Raises AreaSolutionError if
     the area above the jump falls short of R0.
     """
     d, alpha = params.d, params.alpha
     top = d * alpha  # u at q = 1 on the epsilon = 1 fixed-point map
-    # below the jump q/(1-q) + (d-1) ln(1-q) < 0, i.e. q < (d-1) u (1-q);
-    # for d <= 2 that never holds, and u_jump = 0
-    u_jump, _, _ = bisect_load(lambda u: -math.expm1(-u) < (d - 1) * u * math.exp(-u), 0.0, top, _U_TOL)
+    u_jump = _jump_u(d, top)
     # below u_1 the epsilon = 1 map u -> d alpha q^{d-1} lies above u
     _, u_1, _ = bisect_load(lambda u: u < top * (-math.expm1(-u)) ** (d - 1), u_jump, top, _U_TOL)
     # G(q_1) - (alpha - 1) written without the cancellation of its two large terms

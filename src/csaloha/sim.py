@@ -235,9 +235,9 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[i
     masks. Every slot and every later-solved burst carries its dependence on x
     as a bitmask. Once no burst is unresolved, the slots that solved no burst
     hold the constraints mask . x = known. A burst is recovered iff its mask
-    lies in their span, that is iff it has even parity against each vector of
-    the constraints' null space. Returns (the bursts not recovered, the
-    frame's rank n - k + rank(constraints), k).
+    lies in their span, that is iff it reduces to 0 against the constraints'
+    echelon basis. Returns (the bursts not recovered, the frame's rank
+    n - k + rank(constraints), k).
     """
     # indexing through memoryviews gives plain ints, no numpy scalars
     rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
@@ -273,8 +273,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[i
             basis[v.bit_length() - 1] = v
     lost = []
     if len(basis) < k:  # at full rank every mask lies in the span
-        nulls = _null_space(basis, k)
-        lost = [b for b, v in bmask.items() if any((v & z).bit_count() & 1 for z in nulls)]
+        lost = [b for b, v in bmask.items() if _reduce(v, basis)]
     return lost, b1 - b0 - k + len(basis), k
 
 
@@ -306,29 +305,6 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     while v and (r := basis.get(v.bit_length() - 1)):
         v ^= r
     return v
-
-
-def _null_space(basis: dict[int, int], k: int) -> list[int]:
-    """A basis of the k-bit vectors z with even parity against every row of
-    the echelon basis (keyed by leading bit): one vector per free bit."""
-    pivots = sum(1 << p for p in basis)
-    reduced: dict[int, int] = {}  # the rows in reduced echelon form
-    for p in sorted(basis):
-        v, below = basis[p], basis[p] & pivots & ((1 << p) - 1)
-        while below:  # a reduced row holds no pivot bit but its own
-            q = below.bit_length() - 1
-            v ^= reduced[q]
-            below ^= 1 << q
-        reduced[p] = v
-    free = ((1 << k) - 1) ^ pivots
-    nulls = {f: 1 << f for f in range(k) if free >> f & 1}
-    for p, row in reduced.items():
-        row &= free
-        while row:
-            f = row.bit_length() - 1
-            nulls[f] |= 1 << p
-            row ^= 1 << f
-    return list(nulls.values())
 
 
 # ------------------------------------------------------------------ trials

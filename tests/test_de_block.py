@@ -75,11 +75,20 @@ def test_block_threshold_matches_analytic_min(d):
     assert res.bracket_lo <= res.threshold <= res.bracket_hi
     assert res.bracket_hi - res.bracket_lo <= 1e-5
     assert res.threshold == pytest.approx(BLOCK_IT[d], abs=1e-4)
-    assert block_threshold_grid(d) == pytest.approx(BLOCK_IT[d], abs=2e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_block_threshold_grid_is_the_closed_form(d):
+    # the load at the jump of the fixed-point curve, which the MAP bound also finds
+    assert block_threshold_grid(d) == pytest.approx(BLOCK_IT[d], abs=1e-12)
+
+
+def test_block_threshold_grid_is_one_half_at_degree_two():
+    assert block_threshold_grid(2) == 0.5
 
 
 def test_block_threshold_cross_check_agrees():
-    # the bisection and the analytic grid condition are two routes to one threshold
+    # the bisection and the closed form are two routes to one threshold
     assert abs(block_threshold(3).threshold - block_threshold_grid(3)) <= 1e-4
 
 

@@ -322,8 +322,9 @@ def test_gje_matches_dense_oracle():
 
 def test_gje_rank_deficient_matches_dense_oracle():
     # above the block threshold most frames have rank < n: the constraints
-    # left after inactivation do not pin every inactivated burst, and the
-    # recovered set comes from the null-space parity test
+    # left after inactivation do not pin every inactivated burst, so some
+    # burst's mask does not reduce to 0 against their echelon basis and the
+    # recovered set comes from that span test
     loads = ((300, 0.95), (400, 1.0), (200, 1.1))
     frames = [sample_block_frame(m, g, 3, rng_stream(95, t)) for m, g in loads for t in range(4)]
     deficient = 0
