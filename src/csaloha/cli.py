@@ -7,7 +7,7 @@ Commands:
   sweep       rate sweep (R = 1/d) of the block/coupled thresholds and G*
   simulate    Monte Carlo packet-loss run (block or coupled), JSON report
 
-Exit codes: 0 success, 2 parameter error, 3 numerical failure.
+Exit codes: 0 success, 2 parameter error (or an unwritable --out), 3 numerical failure.
 The CSA_THREADS environment variable sets the worker count used to fan out
 independent rows / trial batches (default 1). The pool never has more
 workers than CPUs or than rows / trials.
@@ -94,8 +94,11 @@ def _fmt(v):
 
 def _write(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # exit 2 with one line, not a traceback
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

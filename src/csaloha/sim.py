@@ -7,6 +7,7 @@ per-trial random streams.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -30,7 +31,7 @@ class FrameGraph:
     user_type: np.ndarray | None = None
 
     def __post_init__(self):
-        self.slots = np.asarray(self.slots, dtype=np.int64).reshape(-1, self.d)
+        self.slots = _as_index(self.slots, "slot indices").reshape(-1, self.d)
         if self.n_slots < 1:
             raise ValueError(f"need at least one slot, got {self.n_slots}")
         if self.slots.size:
@@ -39,13 +40,21 @@ class FrameGraph:
             if _repeats_a_slot(self.slots).any():
                 raise ValueError("a burst lists the same slot twice")
         if self.user_type is not None:
-            self.user_type = np.asarray(self.user_type, dtype=np.int64)
+            self.user_type = _as_index(self.user_type, "user types")
             if self.user_type.shape != (self.slots.shape[0],):
                 raise ValueError("user_type must hold one type per burst")
 
     @property
     def n_active(self) -> int:
         return self.slots.shape[0]
+
+
+def _as_index(a, what: str) -> np.ndarray:
+    """a as an int64 array; a non-integral value is an error, not truncated."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu" and (a != np.floor(a)).any():  # NaN too
+        raise ValueError(f"{what} must be integers")
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -170,6 +179,11 @@ def _decode(frames: list[FrameGraph], exact: bool = False):
     decoded alone. The exact continuation (_inactivate) then runs frame by
     frame on the residual that the batched peel leaves.
 
+    A round keeps one copy of a burst that two frontier slots hold, without
+    a sort: it writes each candidate's position into pos and keeps those
+    whose position survived. Any repeat may win the write: one copy survives,
+    and the round's later updates are order-independent integer scatters.
+
     Returns (peeled, recovered, rounds, rank, inactivations): boolean masks
     over the union's bursts, then one int64 entry per frame. Unless exact,
     recovered is peeled and rank and inactivations are None.
@@ -189,12 +203,16 @@ def _decode(frames: list[FrameGraph], exact: bool = False):
     solved_v = np.zeros(n, dtype=np.uint8)  # 1 once solved or inactivated
     last = np.zeros(m, dtype=np.int64)  # the last round the slot was in the frontier
 
+    pos = np.empty(n, dtype=np.int64)  # a candidate burst's position in its round
     r = 0
     frontier = (deg_v == 1).nonzero()[0]
     while frontier.size:
         r += 1
         last[frontier] = r
-        b = _distinct(acc_v[frontier[deg_v[frontier] == 1]])
+        b = acc_v[frontier[deg_v[frontier] == 1]]
+        at = np.arange(b.size)
+        pos[b] = at
+        b = b[pos[b] == at]
         solved_v[b] = 1
         t = rows.take(b, 0)
         before = deg_v[t]
@@ -215,29 +233,21 @@ def _decode(frames: list[FrameGraph], exact: bool = False):
     return peeled, recovered, rounds, rank, k
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The values of a, sorted (in place) and without repeats. Not np.unique:
-    its first call adds over 1 MB of resident memory."""
-    a.sort()
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
-
-
 def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[int], int, int]:
     """Inactivation decoding of the frame with bursts b0..b1-1 and slots
     s0..s1-1, whose peeling stalled; it updates the union's arrays in place.
 
-    The lowest-numbered unresolved burst of the lowest-numbered minimum-degree
-    slot is inactivated: it becomes the unknown x_j, is cancelled from its
-    slots, and peeling resumes in _peel_rounds, the only loop that carries the
-    masks. Every slot and every later-solved burst carries its dependence on x
-    as a bitmask. Once no burst is unresolved, the slots that solved no burst
-    hold the constraints mask . x = known. A burst is recovered iff its mask
-    lies in their span, that is iff it reduces to 0 against the constraints'
-    echelon basis. Returns (the bursts not recovered, the frame's rank
-    n - k + rank(constraints), k).
+    One loop over a FIFO queue of slots cancels one burst per step: that of
+    the next queued slot still of degree 1, which inherits the slot's mask,
+    or, once the queue is empty, the lowest-numbered unresolved burst of the
+    lowest-numbered minimum-degree slot, which is inactivated: it becomes the
+    unknown x_j, with mask bit j. A nonzero mask passes on to the cancelled
+    burst's slots, so every slot and every later-solved burst carries its
+    dependence on x as a bitmask. Once no burst is unresolved, the slots that
+    solved no burst hold the constraints mask . x = known. A burst is
+    recovered iff its mask lies in their span, that is iff it reduces to 0
+    against the constraints' echelon basis. Returns (the bursts not
+    recovered, the frame's rank n - k + rank(constraints), k).
     """
     # indexing through memoryviews gives plain ints, no numpy scalars
     rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
@@ -249,21 +259,28 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[i
     deg_f = deg_v[s0:s1]
     smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
+    queue: deque[int] = deque()
     k = 0
-    while (live := np.flatnonzero(deg_f)).size:
-        s = int(live[np.argmin(deg_f[live])])
-        b = next(int(b) for b in residents[first[s] : first[s + 1]] if not solved[b])
+    while queue or (live := np.flatnonzero(deg_f)).size:
+        if queue:
+            s = queue.popleft()
+            if deg[s] != 1:
+                continue
+            b, v = acc[s], smask.get(s, 0)
+        else:
+            s = int(live[np.argmin(deg_f[live])])
+            b = next(int(b) for b in residents[first[s] : first[s + 1]] if not solved[b])
+            v, k = 1 << k, k + 1
         solved[b] = 1
-        bmask[b] = bit = 1 << k
-        k += 1
-        frontier = []
         for t in rows[b * d : (b + 1) * d]:
             deg[t] -= 1
             acc[t] ^= b
-            smask[t] = smask.get(t, 0) ^ bit
+            if v:
+                smask[t] = smask.get(t, 0) ^ v
             if deg[t] == 1:
-                frontier.append(t)
-        _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask)
+                queue.append(t)
+        if v:
+            bmask[b] = v
 
     # a slot that solved a burst ends with mask 0, so the nonzero masks left
     # are the constraints; basis maps each leading bit to one echelon row
@@ -275,29 +292,6 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[i
     if len(basis) < k:  # at full rank every mask lies in the span
         lost = [b for b, v in bmask.items() if _reduce(v, basis)]
     return lost, b1 - b0 - k + len(basis), k
-
-
-def _peel_rounds(frontier, rows, d, deg, acc, solved, smask, bmask) -> None:
-    """Resolve degree-1 slots until none is left, after an inactivation. A
-    solved burst inherits its slot's mask."""
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if deg[s] != 1:
-                continue
-            b = acc[s]
-            solved[b] = 1
-            lo = b * d
-            for t in rows[lo : lo + d]:
-                deg[t] -= 1
-                acc[t] ^= b
-                if deg[t] == 1:
-                    nxt.append(t)
-            if v := smask.get(s):
-                bmask[b] = v
-                for t in rows[lo : lo + d]:
-                    smask[t] = smask.get(t, 0) ^ v
-        frontier = nxt
 
 
 def _reduce(v: int, basis: dict[int, int]) -> int:

@@ -233,6 +233,23 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text() == f"d,g_star\n3,{solve_load_bound(1 / 3):.6g}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--d", "3"),
+        ("simulate", "block", "--d", "3", "--g", "0.5", "--slots", "50", "--trials", "2"),
+    ],
+)
+def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, argv):
+    # the work is done, then the write fails: one line on stderr and exit 2,
+    # not a traceback
+    path = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"csaloha: parameter error: cannot write --out {path}: No such file or directory\n"
+    assert "Traceback" not in err and not path.parent.exists()
+
+
 def test_csv_output_simulate(capsys):
     rc, out, _ = run_cli(
         capsys, "simulate", "block", "--d", "2", "--g", "0.4", "--slots", "100",

@@ -41,6 +41,18 @@ def test_frame_graph_validation():
         FrameGraph(n_slots=4, d=2, slots=np.array([[0, 1]]), user_type=np.array([1, 2]))
     with pytest.raises(ValueError):
         FrameGraph(n_slots=0, d=1, slots=np.zeros((0, 1)))
+    # a non-integral index is refused, not truncated to [[0, 1]]
+    with pytest.raises(ValueError, match="slot indices must be integers"):
+        FrameGraph(n_slots=3, d=2, slots=[[0.7, 1.9]])
+    with pytest.raises(ValueError, match="slot indices must be integers"):
+        FrameGraph(n_slots=3, d=2, slots=[[np.nan, 1.0]])
+    with pytest.raises(ValueError, match="user types must be integers"):
+        FrameGraph(n_slots=3, d=2, slots=[[0, 1]], user_type=[1.5])
+    # integral floats and empty float arrays stay valid
+    f = FrameGraph(n_slots=3, d=2, slots=np.array([[0.0, 2.0]]), user_type=np.array([1.0]))
+    assert f.slots.dtype == f.user_type.dtype == np.int64
+    assert f.slots.tolist() == [[0, 2]] and f.user_type.tolist() == [1]
+    assert FrameGraph(n_slots=3, d=2, slots=np.zeros((0, 2))).slots.shape == (0, 2)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -404,6 +416,23 @@ def test_gje_inactivation_count():
     assert gje_decode(rows).inactivations >= 1
     payload = run_trials("block", m=50, d=3, g=1.0, trials=3, seed=0, decoder="both").to_dict()
     assert "inactivations" not in payload
+
+
+def test_gje_inactivation_counts_pinned():
+    # the inactivation rule (the lowest-numbered unresolved burst of the
+    # lowest-numbered minimum-degree slot, whenever no slot of degree 1 is
+    # left) fixes k per frame; these counts were taken when the exact pass
+    # still resumed peeling in a separate round loop after each inactivation
+    topo = build_topology(20, 3)
+    exact = [sample_coupled_frame(200, topo, 0.9, rng_stream(20, t)) for t in range(20)]
+    assert tuple(gje_decode(f).inactivations for f in exact) == (
+        0, 3, 8, 3, 21, 1, 10, 17, 13, 9, 22, 0, 14, 4, 0, 7, 0, 19, 17, 0
+    )
+    block = [sample_block_frame(2000, g, 3, rng_stream(500, t)) for g in (0.9, 0.95) for t in range(10)]
+    assert tuple(gje_decode(f).inactivations for f in block) == (
+        99, 91, 53, 84, 82, 137, 98, 56, 111, 83,  # g = 0.9
+        157, 154, 116, 147, 147, 207, 172, 132, 167, 150,  # g = 0.95
+    )
 
 
 def test_block_slot_degrees_are_poisson():
