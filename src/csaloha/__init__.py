@@ -2,29 +2,28 @@
 analysis (density evolution, MAP bound, load bound) and finite-length Monte
 Carlo simulation, for block frames and spatially-coupled super-frames."""
 
-from .core import (
+from .analysis import (
+    AreaSolutionError,
+    BlockDeConfig,
     DeResult,
+    ThresholdBracketError,
+    block_threshold,
+    block_threshold_grid,
+    coupled_threshold,
+    de_block_run,
+    de_coupled_run,
+    efficiency,
+    map_load_bound,
+    solve_load_bound,
+    termination_adjusted_load,
+)
+from .core import (
     LoadPoint,
     SchemeParams,
     build_circulant_topology,
     build_topology,
     rng_stream,
 )
-from .de_block import (
-    BlockDeConfig,
-    ThresholdBracketError,
-    block_threshold,
-    block_threshold_grid,
-    de_block_run,
-    efficiency,
-    solve_load_bound,
-)
-from .de_coupled import (
-    coupled_threshold,
-    de_coupled_run,
-    termination_adjusted_load,
-)
-from .map_bound import AreaSolutionError, map_load_bound
 from .sim import (
     FrameGraph,
     SimReport,

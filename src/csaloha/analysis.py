@@ -1,0 +1,398 @@
+"""The asymptotic analysis: density evolution (DE) of the block frame and of
+the coupled super-frame, the iterative thresholds in offered traffic G, the
+load bound G* = unique positive root of G = 1 - e^{-G/R}, and an upper bound
+on the genie-aided MAP threshold. Every DE run stops through one loop (_run)
+and every search is one bisection (bisect_load).
+
+Block DE keeps its scalar loop in Python floats (_iterate) beside the coupled
+kernel. Run through _CoupledKernel on a d-frame circulant chain it gives the
+same block_threshold brackets for d = 2..8, bit for bit, but each call is
+18-45x slower (in-process, 2-core host: d=2 0.21 -> 3.8 s, d=3 0.007 -> 0.19 s).
+
+The MAP bound is the area balance (Maxwell construction): the largest
+epsilon-bar with  integral of the extrinsic erasure curve p_e over
+[epsilon-bar, 1] = nominal rate R0. Along its smooth branch the curve is
+p_e = q^d at epsilon = u / (d alpha q^{d-1}), with u = -ln(1-q), so the
+integral has a closed form: it equals (G(q_1) - G(q-bar)) / alpha with
+G(q) = q u/d + (1-q) u - q, where q_1 is the top fixed point at epsilon = 1.
+Everything is solved in u, which is one-to-one with q and stays finite where
+q_1 rounds to 1 (q_1 = 1 - e^{-300} at d=3, alpha=100).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import CoupledTopology, LoadPoint, SchemeParams, build_topology
+
+
+@dataclass(frozen=True)
+class DeResult:
+    """Outcome of one density-evolution run.
+
+    final_p is the last sum-node-to-burst-node erasure probability (max over
+    positions in the coupled case). trace, when recorded, is a tuple of
+    per-iteration (q, p) values; p is an array in the coupled case.
+    stop_reason names the rule that ended it (see BlockDeConfig): "target"
+    (final_p <= TARGET_P = 1e-8, the only success), "stall" (no erasure
+    probability changed by STALL_EPS = 1e-12) or "cap" (max_iters ran out).
+    """
+
+    converged: bool
+    final_p: float
+    iterations: int
+    trace: tuple | None = None
+    stop_reason: str | None = None
+
+
+@dataclass(frozen=True)
+class ThresholdResult:
+    """A bisection outcome: threshold = bracket midpoint, after `evaluations` DE runs."""
+
+    threshold: float
+    bracket_lo: float
+    bracket_hi: float
+    evaluations: int
+
+
+class ThresholdBracketError(RuntimeError):
+    """Bisection predicate still true at the upper bracket; no threshold inside."""
+
+
+class AreaSolutionError(ArithmeticError):
+    """The area under the extrinsic curve is smaller than the nominal rate."""
+
+
+# the stop rule of every density-evolution run, block or coupled (BlockDeConfig)
+TARGET_P = 1e-8
+STALL_EPS = 1e-12
+_BLOCK = 64  # iterates per block of a run (_run)
+# absolute bisection tolerance in u = -ln(1-q) (_jump_u, map_load_bound); near a
+# large upper bracket end the float spacing ends the search first
+_U_TOL = 1e-15
+
+
+@dataclass(frozen=True)
+class BlockDeConfig:
+    """The iteration cap of a density-evolution run.
+
+    After each iteration the run stops, tested in this order, when the worst
+    erasure probability is at most TARGET_P = 1e-8 ("target", the only
+    success), when no erasure probability changed by STALL_EPS = 1e-12
+    ("stall": a fixed point, or slowing near the threshold) or after
+    max_iters iterations ("cap"); DeResult.stop_reason names which. Near a
+    threshold a run that would still converge can so count as a failure:
+    at d=3, l=200 three coupled probes hit the 1e5 cap, and the coupled
+    threshold lands 3.2e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 1).
+    """
+
+    max_iters: int = 100_000
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
+
+def _run(advance, cfg: BlockDeConfig, record_trace: bool) -> DeResult:
+    """Apply the stop rule (see BlockDeConfig) to iterates produced in blocks:
+    advance(n) returns the block's n message values q and its n+1 erasure
+    probabilities p, p[0] being the iterate before the block (rows of a
+    history buffer, or lists of floats). The rule reads the first qualifying
+    iterate of a block; blocks end at the cap. trace collects the (q, p)
+    pairs."""
+    trace: list[tuple] | None = [] if record_trace else None
+    it = 0
+    while True:
+        n = min(_BLOCK, cfg.max_iters - it)
+        qs, ps = advance(n)
+        p = np.asarray(ps).reshape(n + 1, -1)
+        worst = p[1:].max(axis=1)
+        hits = np.flatnonzero((worst <= TARGET_P) | (np.abs(p[:-1] - p[1:]).max(axis=1) < STALL_EPS))
+        k = int(hits[0]) + 1 if hits.size else n
+        if trace is not None:  # copies: advance reuses its buffers
+            trace.extend(zip(qs[:k].copy(), ps[1 : k + 1].copy()))
+        it += k
+        if hits.size or it == cfg.max_iters:
+            break
+    reason = "cap" if not hits.size else "target" if worst[k - 1] <= TARGET_P else "stall"
+    return DeResult(reason == "target", float(worst[k - 1]), it, tuple(trace) if trace is not None else None, reason)
+
+
+def _iterate(d: int, g: float):
+    """The scalar block recursion as an advance function for _run, in Python floats."""
+    # q_l = p_{l-1}^{d-1};  p_l = 1 - exp(-g*d*q_l), from p_0 = 1
+    p = 1.0
+
+    def advance(n):
+        nonlocal p
+        qs, ps = [], [p]
+        for _ in range(n):
+            q = p ** (d - 1)
+            p = -math.expm1(-g * d * q)
+            qs.append(q)
+            ps.append(p)
+        return qs, ps
+
+    return advance
+
+
+def de_block_run(
+    params: SchemeParams,
+    load: LoadPoint,
+    cfg: BlockDeConfig = BlockDeConfig(),
+    record_trace: bool = False,
+) -> DeResult:
+    """Run the two-step erasure recursion at offered traffic load.g until the
+    erasure probability reaches TARGET_P ("target"), an iteration changes it
+    by less than STALL_EPS ("stall") or cfg.max_iters runs out ("cap")."""
+    return _run(_iterate(params.d, load.g), cfg, record_trace)
+
+
+def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+    """Shrink [lo, hi] to width <= tol assuming predicate is true on the low side,
+    probing hi first and then midpoints. A tol below the float spacing stops
+    at adjacent floats.
+
+    predicate(hi) must be false, else the bracket is too small and the search
+    is meaningless; that case raises ThresholdBracketError.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
+    evals = 1
+    if predicate(hi):
+        raise ThresholdBracketError(f"predicate still true at upper bracket {hi}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        evals += 1
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, evals
+
+
+def threshold(d: int, converges, tol: float) -> ThresholdResult:
+    """The threshold of a degree-d scheme: the largest load G in [0, 1.2] at
+    which converges(G) holds, by bisection to width tol."""
+    if d < 2:
+        raise ValueError(f"threshold search needs d >= 2, got {d}")
+    if tol >= 1.2:  # the bracket would come back untouched
+        raise ValueError(f"bisection tolerance must be below the bracket width 1.2, got {tol}")
+    lo, hi, evals = bisect_load(converges, 0.0, 1.2, tol)
+    return ThresholdResult(0.5 * (lo + hi), lo, hi, evals)
+
+
+def block_threshold(d: int, cfg: BlockDeConfig = BlockDeConfig(), bisect_tol: float = 1e-5) -> ThresholdResult:
+    """Largest G at which block density evolution still converges."""
+    return threshold(d, lambda g: _run(_iterate(d, g), cfg, False).converged, bisect_tol)
+
+
+def _jump_u(d: int, top: float) -> float:
+    """u = -ln(1 - q) at the jump of the block fixed-point curve: the root of
+    q/(1-q) + (d-1) ln(1-q) = 0 in (0, top], by bisection to _U_TOL (0 for
+    d <= 2, where the curve rises continuously from zero). The block
+    threshold and the MAP bound both start from it."""
+    # below the jump q/(1-q) + (d-1) ln(1-q) < 0, i.e. q < (d-1) u (1-q)
+    u, _, _ = bisect_load(lambda u: -math.expm1(-u) < (d - 1) * u * math.exp(-u), 0.0, top, _U_TOL)
+    return u
+
+
+def block_threshold_grid(d: int) -> float:
+    """Closed-form route to the same threshold: the convergence condition
+    q > (1 - e^{-q*G*d})^{d-1} for all q in (0,1] first fails at the jump u
+    (_jump_u), so the threshold is u / (d (1 - e^{-u})^{d-1}), with the limit
+    1/2 at d=2. (The name is from an earlier minimisation over a dense grid.)"""
+    if d < 2:
+        raise ValueError(f"threshold search needs d >= 2, got {d}")
+    if d == 2:
+        return 0.5
+    u = _jump_u(d, float(d))  # e^d - 1 > (d-1) d for d >= 3: the jump lies below d
+    return u / (d * (-math.expm1(-u)) ** (d - 1))
+
+
+def solve_load_bound(rate: float) -> float:
+    """Unique positive root of G - 1 + e^{-G/R} in (0, 1), or 0 when 1/R <= 1
+    (the map's slope at the origin is then too small for a positive fixed point)."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must lie in (0,1], got {rate}")
+    inv_r = 1.0 / rate
+    if inv_r <= 1.0:
+        return 0.0
+    f = lambda g: g - 1.0 + math.exp(-g * inv_r)
+    if f(1e-12) >= 0.0:  # slope barely above 1: root collapses to 0
+        return 0.0
+    lo, hi, _ = bisect_load(lambda g: f(g) < 0.0, 1e-12, 1.0, 1e-15)
+    root = 0.5 * (lo + hi)
+    if abs(f(root)) > 1e-12:
+        raise ArithmeticError(f"load-bound residual {f(root):.3e} exceeds 1e-12")
+    return root
+
+
+def efficiency(g_conv: float, g_star: float) -> float:
+    """Normalized efficiency: ratio of an achieved threshold to the load bound."""
+    if g_star <= 0.0:
+        raise ValueError(f"load bound must be positive, got {g_star}")
+    return g_conv / g_star
+
+
+class _CoupledKernel:
+    """The coupled update at one load g, with its constants, scratch buffers
+    and array views set up once, so that a step allocates nothing.
+
+    Iterates are produced in blocks of up to _BLOCK into a history buffer:
+    row t holds iterate t of the block and row 0 the one before it, so step
+    t reads row t-1 through its windows and writes row t in place; _run then
+    stops at the block's first iterate that meets the stop rule. Type i's
+    k-th frame is i+k (mod m_f), so over all types the k-th frames form the
+    window p[k:k+l]. On a circulant chain each row is stored extended by its
+    first d-1 entries, so the same windows apply, and the messages that wrap
+    past frame l are folded back onto the head. Every product and sum runs in
+    the order of a per-edge scatter that visits the types in increasing
+    order, so the iterates equal that scatter's bit for bit.
+    """
+
+    def __init__(self, topo: CoupledTopology, g: float, p0: np.ndarray | float = 1.0):
+        l, d, m_f = topo.l, topo.d, topo.m_f
+        self.d, self.wrap = d, topo.wrap
+        self.delta = np.array(topo.delta, dtype=np.float64)
+        self.neg_g_delta = -g * self.delta
+        self.msgs = np.ones((d, l))  # msgs[k, i]: message of type i+1 toward its k-th frame
+        q_sum = np.empty(l + d - 1)
+        self._q_sum, self._q_head = q_sum[:m_f], q_sum[: d - 1]
+        self._sums = [q_sum[k : k + l] for k in range(d)]
+        self._folds = [(q_sum[:k], self.msgs[k, l - k :]) for k in range(d - 1, 0, -1)] if self.wrap else []
+        # per row: p, its d windows, and the extension tail with the head it
+        # repeats (both empty on a terminated chain)
+        hist = np.empty((_BLOCK + 1, l + d - 1))
+        self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
+        self.p = hist[:, :m_f]
+        self._rows = [(r[:m_f], [r[k : k + l] for k in range(d)], r[m_f:], r[: l + d - 1 - m_f]) for r in hist]
+        self._hist, self._last = hist, 0
+        np.copyto(self.p[0], p0)
+        np.copyto(self._rows[0][2], self._rows[0][3])
+
+    def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
+        and n+1 rows of p, row 0 being the iterate before them."""
+        if self._last:
+            self._hist[0] = self._hist[self._last]
+        self._last = n
+        d, m, wrap, rows, q_rows = self.d, list(self.msgs), self.wrap, self._rows, self.q
+        q_sum, q_head, sums, folds = self._q_sum, self._q_head, self._sums, self._folds
+        delta, neg_g_delta = self.delta, self.neg_g_delta
+        mul, add, div, copyto, expm1, neg = np.multiply, np.add, np.divide, np.copyto, np.expm1, np.negative
+        for t in range(1, n + 1):
+            w, (p, _, tail, head), q = rows[t - 1][1], rows[t], q_rows[t - 1]
+            if d > 2:
+                # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
+                mul(w[0], w[1], m[2])
+                for k in range(3, d):
+                    mul(m[k - 1], w[k - 1], m[k])
+                # ... times suffix products right to left, m[k] *= w[d-1]*...*w[k+1];
+                # the running suffix product is kept in m[0] and ends as its message
+                right = w[d - 1]
+                for k in range(d - 2, 1, -1):
+                    mul(m[k], right, m[k])
+                    mul(right, w[k], m[0])
+                    right = m[0]
+                mul(w[0], right, m[1])
+                mul(right, w[1], m[0])
+            elif d == 2:
+                copyto(m[1], w[0])
+                copyto(m[0], w[1])
+            # each frame adds its types in increasing order, i.e. by decreasing k
+            q_head.fill(0.0)
+            copyto(sums[d - 1], m[d - 1])
+            for k in range(d - 2, -1, -1):
+                add(sums[k], m[k], sums[k])
+            for fold_head, fold_tail in folds:
+                add(fold_head, fold_tail, fold_head)
+            div(q_sum, delta, q)
+            mul(neg_g_delta, q, p)
+            expm1(p, p)
+            neg(p, p)
+            if wrap:
+                copyto(tail, head)
+        return q_rows[:n], self.p[: n + 1]
+
+
+def de_coupled_run(
+    topo: CoupledTopology,
+    g: float,
+    cfg: BlockDeConfig = BlockDeConfig(),
+    record_trace: bool = False,
+) -> DeResult:
+    """Iterate from the all-ones profile under de_block_run's stop rule, on
+    the worst position's erasure probability, which is final_p."""
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"offered traffic must be finite and >= 0, got {g}")
+    return _run(_CoupledKernel(topo, g).advance, cfg, record_trace)
+
+
+def coupled_threshold(
+    d: int,
+    l: int = 200,
+    cfg: BlockDeConfig = BlockDeConfig(),
+    bisect_tol: float = 1e-4,
+) -> ThresholdResult:
+    """Threshold search with coupled-DE convergence on the l-chain as the predicate.
+
+    The default bisect_tol is looser than the block one because each coupled
+    run costs m_f positions per iteration and near-threshold runs are long.
+    """
+    topo = build_topology(l, d)
+    return threshold(d, lambda g: de_coupled_run(topo, g, cfg).converged, bisect_tol)
+
+
+def termination_adjusted_load(g: float, l: int, d: int) -> float:
+    """Offered traffic recomputed against all m_f = l+d-1 frames, counting the
+    termination frames that admit no new arrivals. The arrival-rate definition
+    g is the reporting convention everywhere else; this accessor only makes
+    the (small, O(d/l)) termination rate loss visible."""
+    return g * l / (l + d - 1)
+
+
+def _area(u: float, d: int) -> float:
+    """G at q = 1 - e^{-u}. Below u = 0.5 it is summed from its series,
+    d G = sum_{k>=2} (-u)^k (1 - (d-1)(k-1)) / k!, because the closed form
+    cancels there to O(u^3) at d=2."""
+    if u < 0.5:
+        term, total = -u, 0.0
+        for k in range(2, 18):
+            term *= -u / k  # (-u)^k / k!
+            total += term * (1 - (d - 1) * (k - 1))
+        return total / d
+    q = -math.expm1(-u)
+    return q * u / d + math.exp(-u) * u - q
+
+
+def map_load_bound(params: SchemeParams) -> float:
+    """The bound in offered traffic, alpha * epsilon-bar = u/(d q^{d-1}) at q-bar.
+
+    The balance reads G(q-bar) = G(q_1) - (alpha - 1), searched above the
+    curve's jump u_jump (_jump_u, 0 for d <= 2), the point whose load is also
+    the block threshold (block_threshold_grid). Raises AreaSolutionError if
+    the area above the jump falls short of R0.
+    """
+    d, alpha = params.d, params.alpha
+    top = d * alpha  # u at q = 1 on the epsilon = 1 fixed-point map
+    u_jump = _jump_u(d, top)
+    # below u_1 the epsilon = 1 map u -> d alpha q^{d-1} lies above u
+    _, u_1, _ = bisect_load(lambda u: u < top * (-math.expm1(-u)) ** (d - 1), u_jump, top, _U_TOL)
+    # G(q_1) - (alpha - 1) written without the cancellation of its two large terms
+    e_1 = math.exp(-u_1)
+    rhs = alpha * math.expm1(d * math.log1p(-e_1)) + e_1 * (u_1 + 1.0)
+    spare = rhs - _area(u_jump, d)
+    if spare < 0.0:
+        r0 = params.nominal_rate
+        raise AreaSolutionError(
+            f"area under the extrinsic curve ({r0 + spare / alpha:.9f}) is below the nominal rate {r0:.9f}"
+        )
+    lo, hi, _ = bisect_load(lambda u: _area(u, d) < rhs, u_jump, u_1, _U_TOL)
+    u = 0.5 * (lo + hi)
+    return u / (d * (-math.expm1(-u)) ** (d - 1))

@@ -17,22 +17,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
 import sys
 import time
 
-from .core import SchemeParams, pool_map
-from .de_block import (
+from .analysis import (
+    AreaSolutionError,
     BlockDeConfig,
     ThresholdBracketError,
     block_threshold,
+    coupled_threshold,
     efficiency,
+    map_load_bound,
     solve_load_bound,
 )
-from .de_coupled import coupled_threshold
-from .map_bound import AreaSolutionError, map_load_bound
+from .core import SchemeParams, pool_map
 from .sim import run_trials
 
 _THRESH_COLS = ["d", "g_it_block", "g_it_coupled", "g_map_bound", "g_star", "efficiency"]
@@ -207,6 +209,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        folder = os.path.dirname(args.out or "") or "."
+        if args.out and not os.access(folder, os.W_OK):  # refused before the work, not after it
+            code = errno.EACCES if os.path.exists(folder) else errno.ENOENT
+            raise ValueError(f"cannot write --out {args.out}: {os.strerror(code)}")
         return args.fn(args)
     except ValueError as exc:
         print(f"csaloha: parameter error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Shared domain types: scheme parameters, super-frame topology, result records,
-the worker pool, and the deterministic random-stream contract used by every
-simulation trial.
+"""Shared domain types: scheme parameters and super-frame topology, the worker
+pool, and the deterministic random-stream contract used by every simulation
+trial.
 
 A super-frame topology is the access rule itself, (l, d, wrap); its frame
 count m_f and per-frame type counts delta are derived from it. Frames and user
@@ -96,35 +96,6 @@ def build_circulant_topology(l: int, d: int) -> CoupledTopology:
     one coupled update equals the block update at every position. Needs
     l >= d so a type never lands in the same frame twice."""
     return CoupledTopology(l, d, wrap=True)
-
-
-@dataclass(frozen=True)
-class DeResult:
-    """Outcome of one density-evolution run.
-
-    final_p is the last sum-node-to-burst-node erasure probability (max over
-    positions in the coupled case). trace, when recorded, is a tuple of
-    per-iteration (q, p) values; p is an array in the coupled case.
-    stop_reason names the rule that ended it (see BlockDeConfig): "target"
-    (final_p <= TARGET_P = 1e-8, the only success), "stall" (no erasure
-    probability changed by STALL_EPS = 1e-12) or "cap" (max_iters ran out).
-    """
-
-    converged: bool
-    final_p: float
-    iterations: int
-    trace: tuple | None = None
-    stop_reason: str | None = None
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """A bisection outcome: threshold = bracket midpoint, after `evaluations` DE runs."""
-
-    threshold: float
-    bracket_lo: float
-    bracket_hi: float
-    evaluations: int
 
 
 def pool_size(requested: int, tasks: int) -> int:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from csaloha import block_threshold, solve_load_bound
+from csaloha import ThresholdBracketError, analysis, block_threshold, cli, solve_load_bound
 from csaloha.cli import main
 
 
@@ -248,6 +248,55 @@ def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, argv):
     assert rc == 2 and out == ""
     assert err == f"csaloha: parameter error: cannot write --out {path}: No such file or directory\n"
     assert "Traceback" not in err and not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thresholds", "--d-max", "3", "--l", "40"),
+        ("simulate", "block", "--d", "3", "--g", "0.5", "--slots", "50", "--trials", "2"),
+    ],
+)
+def test_missing_out_directory_fails_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    # the default table takes ~40 s: a path that cannot be written is refused
+    # before any row or trial is computed
+    def fail(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_row", fail)
+    monkeypatch.setattr(cli, "run_trials", fail)
+    path = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"csaloha: parameter error: cannot write --out {path}: No such file or directory\n"
+
+
+def test_out_directory_without_write_access_is_a_parameter_error(tmp_path, capsys, monkeypatch):
+    # os.access is faked: a root user may write anywhere
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    path = tmp_path / "x.csv"
+    rc, out, err = run_cli(capsys, "bound", "--d", "3", "--out", str(path))
+    assert rc == 2 and out == "" and not path.exists()
+    assert err == f"csaloha: parameter error: cannot write --out {path}: Permission denied\n"
+
+
+def _bracket_error(*args, **kwargs):
+    raise ThresholdBracketError("predicate still true at upper bracket 1.2")
+
+
+@pytest.mark.parametrize(
+    "module, name, fake",
+    [(analysis, "_area", lambda u, d: 1.0), (cli, "coupled_threshold", _bracket_error)],
+    ids=["area", "bracket"],
+)
+def test_numerical_failure_exits_three(capsys, monkeypatch, module, name, fake):
+    # AreaSolutionError from the MAP bound, ThresholdBracketError from a
+    # bisection: one line on stderr and exit 3, not a traceback
+    monkeypatch.delenv("CSA_THREADS", raising=False)
+    monkeypatch.setattr(module, name, fake)
+    rc, out, err = run_cli(capsys, "thresholds", "--d-max", "2", "--l", "4", "--tol", "0.1")
+    assert rc == 3 and out == ""
+    assert err.startswith("csaloha: numerical failure: ") and err.count("\n") == 1
 
 
 def test_csv_output_simulate(capsys):

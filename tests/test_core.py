@@ -163,3 +163,21 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
     exported = [n for n, v in vars(csaloha).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
     assert exported
     assert [n for n in exported if not re.search(rf"\b{n}\b", text)] == []
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # an underscore name belongs to its module: one imported by another
+    # csaloha module means a decision is split across the two
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src/csaloha"
+    crossing = [
+        (path.name, alias.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []

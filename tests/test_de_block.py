@@ -6,6 +6,7 @@ from csaloha import (
     BlockDeConfig,
     LoadPoint,
     SchemeParams,
+    ThresholdBracketError,
     block_threshold,
     block_threshold_grid,
     coupled_threshold,
@@ -13,7 +14,7 @@ from csaloha import (
     efficiency,
     solve_load_bound,
 )
-from csaloha.de_block import bisect_load
+from csaloha.analysis import bisect_load
 from oracles import BLOCK_IT, G_STAR
 
 
@@ -113,6 +114,12 @@ def test_bisect_load_rejects_bad_tolerance(tol):
     # a NaN or infinite tolerance used to return the untouched bracket
     with pytest.raises(ValueError):
         bisect_load(lambda x: x < 0.3, 0.0, 1.2, tol)
+
+
+def test_bisect_load_rejects_a_bracket_without_a_threshold():
+    # the predicate still holds at the upper end, so no threshold lies inside
+    with pytest.raises(ThresholdBracketError):
+        bisect_load(lambda x: True, 0.0, 1.2, 0.1)
 
 
 @pytest.mark.parametrize("tol", [1.2, 5.0])

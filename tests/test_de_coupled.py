@@ -15,8 +15,7 @@ from csaloha import (
     de_coupled_run,
     termination_adjusted_load,
 )
-from csaloha.de_block import _BLOCK, STALL_EPS, TARGET_P
-from csaloha.de_coupled import _CoupledKernel
+from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel
 from oracles import coupled_de_step_reference
 
 

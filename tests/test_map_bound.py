@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-import csaloha.map_bound as mb
+import csaloha.analysis as mb
 from csaloha import AreaSolutionError, SchemeParams, map_load_bound
 from oracles import (
     BLOCK_IT,
