@@ -241,13 +241,21 @@ def test_out_flag_writes_file(tmp_path, capsys):
     ],
 )
 def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, argv):
-    # the work is done, then the write fails: one line on stderr and exit 2,
-    # not a traceback
+    # the directory check refuses the path before the work: one line on
+    # stderr and exit 2, not a traceback
     path = tmp_path / "missing" / "x.csv"
     rc, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert rc == 2 and out == ""
     assert err == f"csaloha: parameter error: cannot write --out {path}: No such file or directory\n"
     assert "Traceback" not in err and not path.parent.exists()
+
+
+def test_out_that_is_a_directory_fails_at_the_write(tmp_path, capsys):
+    # the path's parent is writable, so the early check passes; open then
+    # fails, and the write reports it as one line with exit 2
+    rc, out, err = run_cli(capsys, "bound", "--d", "3", "--out", str(tmp_path))
+    assert rc == 2 and out == ""
+    assert err == f"csaloha: parameter error: cannot write --out {tmp_path}: Is a directory\n"
 
 
 @pytest.mark.parametrize(

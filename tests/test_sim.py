@@ -388,6 +388,19 @@ def test_batched_decoding_matches_frame_by_frame():
         assert _batch_views(batch, exact=False) == [(p, p, r, None, None) for _, p, r, _, _ in want]
 
 
+def test_slot_id_sums_decode_crowded_slots():
+    # each slot's accumulator holds the sum of its unresolved burst ids, which
+    # names the burst only once the slot is down to degree 1: d=8 frames of
+    # 40 slots at high load put up to 27 bursts in one slot
+    frames = [sample_block_frame(40, g, 8, rng_stream(7, t)) for g in (0.6, 1.2, 2.0) for t in range(20)]
+    assert max(np.bincount(f.slots.ravel()).max() for f in frames) >= 20
+    views = _batch_views(frames, exact=True)
+    assert any(v[1] for v in views) and any(v[0] != v[1] for v in views)
+    for f, (recovered, peeled, *_) in zip(frames, views):
+        assert peeled == naive_peel(f) == peel(f).recovered
+        assert recovered == gje_decode(f).recovered == dense_gje_decode(f)[0]
+
+
 @pytest.mark.parametrize("decoder", ["peeling", "gje", "both"])
 def test_run_trials_payload_does_not_depend_on_batching(monkeypatch, decoder):
     # one frame per batch, batches that split a worker chunk, and the whole
