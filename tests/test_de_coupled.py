@@ -15,7 +15,7 @@ from csaloha import (
     de_coupled_run,
     termination_adjusted_load,
 )
-from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel
+from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel, _run
 from oracles import coupled_de_step_reference
 
 
@@ -148,6 +148,11 @@ _PINNED_TRACES = [
     ("chain", 30, 4, 0.95, "00794e4e69ac2cf70382edf5fef03b8a1b9963ad62860273fc3c0cbf40c4d626"),
     ("chain", 200, 3, 0.917, "b80961d5b0a59c658e8c63ba472d842b1d30823ce8d9dc4a3d7d12ae907b54f3"),
     ("circulant", 12, 5, 0.65, "73362d63bc708b3e2ea12e7a602829bb8b3ae3cdceb7b7aef310a009312ce112"),
+    ("chain", 50, 2, 0.45, "ac2aad33c10d24941e5a751f7aab044492f943a390dd63ffe0fe8b2d74640699"),
+    ("chain", 200, 6, 0.99, "366e62141de925ca97bf4b354cdf1a805edb4e0d8a81786126771279e67ac999"),
+    ("chain", 40, 8, 0.999, "11d23bad1228d55375ae1bd9bbb4c69db2bfd1a13fc48ab50b13594f681225c6"),
+    ("circulant", 10, 2, 0.4, "4b3161cee7f62ecb76af1eea575d44fb80b91a1b6861b5cdea5d59d9aed293a8"),
+    ("circulant", 8, 8, 0.9, "12d3223b704fa649f1ebb929f8cbb7a95cfb4a428591b2eaa3116a10f1f5613d"),
 ]
 
 
@@ -161,6 +166,24 @@ def test_coupled_trace_pinned_digests():
             h.update(q.astype("<f8").tobytes())
             h.update(p.astype("<f8").tobytes())
         assert h.hexdigest() == digest, (kind, l, d, g)
+
+
+# Zero erasure probabilities: every q and p must come out +0.0, as the
+# original step's do, at even d too, where a product of d-1 factors of one
+# sign changes the sign of a zero.
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_run_from_zeros_has_no_negative_zero(d):
+    zeros_seen = 0
+    for topo in (build_topology(13, d), build_circulant_topology(13, d)):
+        for every in (2, 3, 5):
+            p0 = np.ones(topo.m_f)
+            p0[::every] = 0.0
+            for g in (0.0, 0.9):
+                res = _run(_CoupledKernel(topo, g, p0).advance, BlockDeConfig(max_iters=100), True)
+                for q, p in res.trace:
+                    assert not np.signbit(q).any() and not np.signbit(p).any(), (topo, every, g)
+                    zeros_seen += np.count_nonzero(q == 0.0) + np.count_nonzero(p == 0.0)
+    assert zeros_seen > 0
 
 
 @pytest.mark.parametrize(
