@@ -241,8 +241,9 @@ def efficiency(g_conv: float, g_star: float) -> float:
 
 
 class _CoupledKernel:
-    """The coupled update at one load g, with its constants, scratch buffers
-    and array views set up once, so that a step allocates nothing.
+    """The coupled update at one load g, compiled once into a list of numpy
+    calls per history row, so that a step allocates nothing and branches on
+    nothing.
 
     Iterates are produced in blocks of up to _BLOCK into a history buffer:
     row t holds iterate t of the block and row 0 the one before it, so step
@@ -254,71 +255,71 @@ class _CoupledKernel:
     past frame l are folded back onto the head. Every product and sum runs in
     the order of a per-edge scatter that visits the types in increasing
     order, so the iterates equal that scatter's bit for bit.
+
+    While a block runs, the history holds r = -p, which expm1 writes
+    directly; advance negates the block once before returning it. A
+    message, a product of d-1 entries of r, so carries the sign (-1)^(d-1),
+    and dividing the sums by delta given that same sign yields q itself.
+    Message k sits at column k of a row of length l+d-1 (msgs is the (d, l)
+    view of the messages alone), so each sum is d-1 full-length adds. The
+    other entries are never written and hold -0.0, which adds nothing, not
+    even to a zero: x + -0.0 = x. (With +0.0, a zero sum at even d, -0.0,
+    would turn +0.0, and q would come out -0.0.) Negation is exact and
+    rounding symmetric in sign, so every iterate keeps its bits.
     """
 
     def __init__(self, topo: CoupledTopology, g: float, p0: np.ndarray | float = 1.0):
         l, d, m_f = topo.l, topo.d, topo.m_f
-        self.d, self.wrap = d, topo.wrap
-        self.delta = np.array(topo.delta, dtype=np.float64)
-        self.neg_g_delta = -g * self.delta
-        self.msgs = np.ones((d, l))  # msgs[k, i]: message of type i+1 toward its k-th frame
-        q_sum = np.empty(l + d - 1)
-        self._q_sum, self._q_head = q_sum[:m_f], q_sum[: d - 1]
-        self._sums = [q_sum[k : k + l] for k in range(d)]
-        self._folds = [(q_sum[:k], self.msgs[k, l - k :]) for k in range(d - 1, 0, -1)] if self.wrap else []
-        # per row: p, its d windows, and the extension tail with the head it
-        # repeats (both empty on a terminated chain)
+        delta = np.array(topo.delta, dtype=np.float64)
+        signed_delta, neg_g_delta = delta if d % 2 else -delta, -g * delta
+        buf = np.full(d * (l + d), -0.0)
+        rows = buf[: d * (l + d - 1)].reshape(d, l + d - 1)  # message k at columns k..k+l-1
+        self.msgs = buf.reshape(d, l + d)[:, :l]  # msgs[k, i]: message of type i+1 toward its k-th frame
+        self.msgs[:] = 1.0  # the empty product at d=1; every other message is written before it is read
+        q_sum = rows[0] if d == 1 else np.empty(l + d - 1)
         hist = np.empty((_BLOCK + 1, l + d - 1))
         self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
         self.p = hist[:, :m_f]
-        self._rows = [(r[:m_f], [r[k : k + l] for k in range(d)], r[m_f:], r[: l + d - 1 - m_f]) for r in hist]
         self._hist, self._last = hist, 0
         np.copyto(self.p[0], p0)
-        np.copyto(self._rows[0][2], self._rows[0][3])
-
-    def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
-        and n+1 rows of p, row 0 being the iterate before them."""
-        if self._last:
-            self._hist[0] = self._hist[self._last]
-        self._last = n
-        d, m, wrap, rows, q_rows = self.d, list(self.msgs), self.wrap, self._rows, self.q
-        q_sum, q_head, sums, folds = self._q_sum, self._q_head, self._sums, self._folds
-        delta, neg_g_delta = self.delta, self.neg_g_delta
-        mul, add, div, copyto, expm1, neg = np.multiply, np.add, np.divide, np.copyto, np.expm1, np.negative
-        for t in range(1, n + 1):
-            w, (p, _, tail, head), q = rows[t - 1][1], rows[t], q_rows[t - 1]
+        hist[0, m_f:] = hist[0, : l + d - 1 - m_f]
+        mul, add, m = np.multiply, np.add, list(self.msgs)
+        self._calls = []  # _calls[t-1]: the (ufunc, args) pairs of step t
+        for prev, r, q in zip(hist, hist[1:], self.q):
+            w, calls = [prev[k : k + l] for k in range(d)], []
             if d > 2:
                 # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
-                mul(w[0], w[1], m[2])
-                for k in range(3, d):
-                    mul(m[k - 1], w[k - 1], m[k])
+                calls += [(mul, (w[0], w[1], m[2]))] + [(mul, (m[k - 1], w[k - 1], m[k])) for k in range(3, d)]
                 # ... times suffix products right to left, m[k] *= w[d-1]*...*w[k+1];
                 # the running suffix product is kept in m[0] and ends as its message
                 right = w[d - 1]
                 for k in range(d - 2, 1, -1):
-                    mul(m[k], right, m[k])
-                    mul(right, w[k], m[0])
+                    calls += [(mul, (m[k], right, m[k])), (mul, (right, w[k], m[0]))]
                     right = m[0]
-                mul(w[0], right, m[1])
-                mul(right, w[1], m[0])
+                calls += [(mul, (w[0], right, m[1])), (mul, (right, w[1], m[0]))]
             elif d == 2:
-                copyto(m[1], w[0])
-                copyto(m[0], w[1])
+                calls += [(np.copyto, (m[1], w[0])), (np.copyto, (m[0], w[1]))]
             # each frame adds its types in increasing order, i.e. by decreasing k
-            q_head.fill(0.0)
-            copyto(sums[d - 1], m[d - 1])
-            for k in range(d - 2, -1, -1):
-                add(sums[k], m[k], sums[k])
-            for fold_head, fold_tail in folds:
-                add(fold_head, fold_tail, fold_head)
-            div(q_sum, delta, q)
-            mul(neg_g_delta, q, p)
-            expm1(p, p)
-            neg(p, p)
-            if wrap:
-                copyto(tail, head)
-        return q_rows[:n], self.p[: n + 1]
+            calls += [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
+            if topo.wrap:
+                calls += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
+            calls += [(np.divide, (q_sum[:m_f], signed_delta, q)), (mul, (neg_g_delta, q, r[:m_f]))]
+            calls.append((np.expm1, (r[:m_f], r[:m_f])))
+            if topo.wrap:
+                calls.append((np.copyto, (r[m_f:], r[: l + d - 1 - m_f])))
+            self._calls.append(calls)
+
+    def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
+        and n+1 rows of p, row 0 being the iterate before them."""
+        hist = self._hist
+        np.negative(hist[self._last], hist[0])  # r of the iterate before the block (p0 at the first call)
+        self._last = n
+        for calls in self._calls[:n]:
+            for f, args in calls:
+                f(*args)
+        np.negative(hist[: n + 1], hist[: n + 1])
+        return self.q[:n], self.p[: n + 1]
 
 
 def de_coupled_run(

@@ -186,6 +186,21 @@ def test_run_from_zeros_has_no_negative_zero(d):
     assert zeros_seen > 0
 
 
+# numpy calls per coupled step, (terminated chain, circulant): 3(d-2)
+# extrinsic products (two copies at d=2), d-1 sums, and q and p in three; a
+# circulant adds d-1 folds and the copy of its extension. Numpy's per-call
+# overhead sets the cost of a step, so a call put back shows here.
+_CALLS_PER_STEP = {2: (6, 8), 3: (8, 11), 4: (12, 16), 5: (16, 21), 6: (20, 26), 7: (24, 31), 8: (28, 36)}
+
+
+def test_step_call_count_pinned():
+    for d, counts in _CALLS_PER_STEP.items():
+        for build, count in zip((build_topology, build_circulant_topology), counts):
+            calls = _CoupledKernel(build(3 * d, d), 0.9)._calls
+            assert len(calls) == _BLOCK
+            assert {len(c) for c in calls} == {count}, (build.__name__, d)
+
+
 @pytest.mark.parametrize(
     "topo,g",
     [(build_topology(30, 4), 0.95), (build_circulant_topology(10, 3), 0.85)],
