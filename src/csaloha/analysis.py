@@ -86,7 +86,7 @@ class BlockDeConfig:
     max_iters iterations ("cap"); DeResult.stop_reason names which. Near a
     threshold a run that would still converge can so count as a failure:
     at d=3, l=200 three coupled probes hit the 1e5 cap, and the coupled
-    threshold lands 3.2e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 1).
+    threshold lands 3.2e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 2).
     """
 
     max_iters: int = 100_000
@@ -277,6 +277,7 @@ class _CoupledKernel:
         self.msgs = buf.reshape(d, l + d)[:, :l]  # msgs[k, i]: message of type i+1 toward its k-th frame
         self.msgs[:] = 1.0  # the empty product at d=1; every other message is written before it is read
         q_sum = rows[0] if d == 1 else np.empty(l + d - 1)
+        q_head = q_sum[:m_f]
         hist = np.empty((_BLOCK + 1, l + d - 1))
         self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
         self.p = hist[:, :m_f]
@@ -284,8 +285,13 @@ class _CoupledKernel:
         np.copyto(self.p[0], p0)
         hist[0, m_f:] = hist[0, : l + d - 1 - m_f]
         mul, add, m = np.multiply, np.add, list(self.msgs)
+        # each frame adds its types in increasing order, i.e. by decreasing k;
+        # the sums, folds included, are the same calls at every step
+        sums = [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
+        if topo.wrap:
+            sums += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
         self._calls = []  # _calls[t-1]: the (ufunc, args) pairs of step t
-        for prev, r, q in zip(hist, hist[1:], self.q):
+        for prev, row, r, q in zip(hist, hist[1:], self.p[1:], self.q):
             w, calls = [prev[k : k + l] for k in range(d)], []
             if d > 2:
                 # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
@@ -299,14 +305,9 @@ class _CoupledKernel:
                 calls += [(mul, (w[0], right, m[1])), (mul, (right, w[1], m[0]))]
             elif d == 2:
                 calls += [(np.copyto, (m[1], w[0])), (np.copyto, (m[0], w[1]))]
-            # each frame adds its types in increasing order, i.e. by decreasing k
-            calls += [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
+            calls += sums + [(np.divide, (q_head, signed_delta, q)), (mul, (neg_g_delta, q, r)), (np.expm1, (r, r))]
             if topo.wrap:
-                calls += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
-            calls += [(np.divide, (q_sum[:m_f], signed_delta, q)), (mul, (neg_g_delta, q, r[:m_f]))]
-            calls.append((np.expm1, (r[:m_f], r[:m_f])))
-            if topo.wrap:
-                calls.append((np.copyto, (r[m_f:], r[: l + d - 1 - m_f])))
+                calls.append((np.copyto, (row[m_f:], row[: l + d - 1 - m_f])))
             self._calls.append(calls)
 
     def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
