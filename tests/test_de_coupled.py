@@ -169,8 +169,8 @@ def test_coupled_trace_pinned_digests():
 
 
 # Zero erasure probabilities: every q and p must come out +0.0, as the
-# original step's do, at even d too, where a product of d-1 factors of one
-# sign changes the sign of a zero.
+# per-edge scatter's do, at even d too, where the kernel's messages are
+# products of an odd number of non-positive factors and a zero one is -0.0.
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_run_from_zeros_has_no_negative_zero(d):
     zeros_seen = 0
