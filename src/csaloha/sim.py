@@ -157,7 +157,7 @@ def gje_decode(frame: FrameGraph) -> DecodeReport:
 
 
 def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
-    peeled, recovered, rounds, rank, k = _decode([frame], exact)
+    peeled, recovered, rounds, rank, k = _decode(frame.slots, [frame.n_active], [frame.n_slots], exact)
     peeled_set = frozenset(np.flatnonzero(peeled).tolist())
     if not exact:
         return DecodeReport(peeled_set, peeled_set, int(rounds[0]))
@@ -165,17 +165,22 @@ def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
     return DecodeReport(recovered_set, peeled_set, int(rounds[0]), int(rank[0]), int(k[0]))
 
 
-def _decode(frames: list[FrameGraph], exact: bool = False):
+def _decode(rows: np.ndarray, n_of, m_of, exact: bool = False):
     """Peel a batch of frames of one degree d as one disjoint graph, then (if
     exact) finish each frame that stalls by inactivation decoding.
 
-    The union numbers frame f's bursts and slots after those of frames
-    0..f-1, so its components are the frames, and each round of the union
-    (see peel) is a round of every frame at once: one set of numpy calls per
-    round serves the whole batch. A frame's peel_iterations is the last round
-    in which its own slots were in the frontier, the count it has when
-    decoded alone. The exact continuation (_inactivate) then runs frame by
-    frame on the residual that the batched peel leaves.
+    rows is the batch's union: an (n, d) int64 array holding frame f's slot
+    rows after those of frames 0..f-1, each slot id offset by the slot count
+    of those frames. n_of and m_of give each frame's burst and slot counts.
+    _trial_batch writes the union straight into one buffer reused across its
+    batches; peel and gje_decode pass a frame's own slots, at offset 0. The
+    union is only read, never written. Its components are the frames, so
+    each round of the union (see peel) is a round of every frame at once:
+    one set of numpy calls per round serves the whole batch. A frame's
+    peel_iterations is the last round in which its own slots were in the
+    frontier, the count it has when decoded alone. The exact continuation
+    (_inactivate) then runs frame by frame on the residual that the batched
+    peel leaves.
 
     A round keeps one copy of a burst that two frontier slots hold, without
     a sort: it writes each candidate's position into pos and keeps those
@@ -186,28 +191,34 @@ def _decode(frames: list[FrameGraph], exact: bool = False):
     holds its burst's id, and one of degree k less than k*n, far inside int64.
     Sums, not XORs: numpy's indexed fast loop covers add.at and subtract.at
     on 1-D indices but not bitwise_xor.at, which costs 2.5-5x as much per
-    scatter of 330-3300 elements.
+    scatter of 330-3300 elements. It is filled one column of rows at a time,
+    so no n*d temporary of burst ids exists.
+
+    last and pos hold values only (a round number, a position within a
+    round), so they are int32, which halves them. Every array used as an
+    index stays intp: numpy casts any other index dtype to intp on each
+    fancy index and ufunc.at call, and int32 union arrays made the C8 run
+    1.2-2.2x slower (ROADMAP item 6).
 
     Returns (peeled, recovered, rounds, rank, inactivations): boolean masks
-    over the union's bursts, then one int64 entry per frame. Unless exact,
-    recovered is peeled and rank and inactivations are None.
+    over the union's bursts, one int32 round count per frame, then one int64
+    entry per frame. Unless exact, recovered is peeled and rank and
+    inactivations are None.
     """
-    d = frames[0].d
-    n_of = [f.n_active for f in frames]
-    b_start = np.cumsum([0, *n_of])
-    s_start = np.cumsum([0, *(f.n_slots for f in frames)])
-    n, m = int(b_start[-1]), int(s_start[-1])
-    rows = np.empty((n, d), dtype=np.int64)
-    for f, lo, hi, s0 in zip(frames, b_start, b_start[1:], s_start):
-        np.add(f.slots, s0, out=rows[lo:hi])
+    n, d = rows.shape
+    b_start, s_start = np.cumsum([0, *n_of]), np.cumsum([0, *m_of])
+    m = int(s_start[-1])
     flat = rows.ravel()
     deg_v = np.bincount(flat, minlength=m).astype(np.int64, copy=False)
     acc_v = np.zeros(m, dtype=np.int64)  # sum of unresolved burst ids, below deg_v * n
-    np.add.at(acc_v, flat, np.arange(n, dtype=np.int64).repeat(d))
+    ids = np.arange(n, dtype=np.int64)
+    for j in range(d):
+        np.add.at(acc_v, rows[:, j], ids)
+    del ids  # freed before the rounds, whose temporaries set the peak
     solved_v = np.zeros(n, dtype=np.uint8)  # 1 once solved or inactivated
-    last = np.zeros(m, dtype=np.int64)  # the last round the slot was in the frontier
+    last = np.zeros(m, dtype=np.int32)  # the last round the slot was in the frontier
 
-    pos = np.empty(n, dtype=np.int64)  # a candidate burst's position in its round
+    pos = np.empty(n, dtype=np.int32)  # a candidate burst's position in its round
     r = 0
     frontier = (deg_v == 1).nonzero()[0]
     while frontier.size:
@@ -228,7 +239,7 @@ def _decode(frames: list[FrameGraph], exact: bool = False):
     if not exact:
         return peeled, peeled, rounds, None, None
 
-    rank, k = np.array(n_of, dtype=np.int64), np.zeros(len(frames), dtype=np.int64)
+    rank, k = np.array(n_of, dtype=np.int64), np.zeros(len(n_of), dtype=np.int64)
     recovered = np.ones(n, dtype=bool)
     for f in np.flatnonzero(np.maximum.reduceat(deg_v, s_start[:-1])):
         (b0, b1), (s0, s1) = b_start[f : f + 2].tolist(), s_start[f : f + 2].tolist()
@@ -354,9 +365,24 @@ class SimReport:
 
 # Bursts that _trial_batch collects before it decodes the frames as one
 # graph. Larger batches share each round's numpy calls among more frames but
-# hold more memory: at 4096 the sim-exact benchmark's peak resident memory
-# rose by ~0.3 MB over decoding frame by frame, and at 2048 no workload's did.
-_BATCH_BURSTS = 2048
+# hold more memory. Swept on a 2-core host: C7 (block frames of 190-3000
+# bursts) and C8 (coupled super-frames of ~22k), in-process, median seconds
+# over 10 alternated runs in each of two sittings, and ru_maxrss in MB of a
+# fresh process per run:
+#
+#   budget    C7 s         C7 MB   C8 s         C8 MB
+#    2,048    0.63 / 0.59  36.0    0.92 / 0.86  37.7
+#    8,000    0.51 / 0.44  36.5    0.96 / 0.86  37.8
+#   12,000    0.45 / 0.37  37.0    0.85 / 0.89  37.7
+#   16,000    0.44 / 0.42  37.2    0.89 / 0.79  37.8
+#   24,000    0.47 / 0.41  37.8    0.82 / 0.69  39.7
+#   32,000    0.44 / 0.42  38.9    0.78 / 0.70  39.7
+#   48,000    0.45 / 0.36  40.3    0.73 / 0.57  41.5
+#
+# C7 gains little past 12,000. C8 gains only once a batch holds two
+# super-frames, and 24,000 is the smallest budget that pairs them; 48,000
+# holds three, at 1.8-2.5 MB more.
+_BATCH_BURSTS = 24_000
 
 
 def _trial_batch(ids, sample, n_types, exact, seed):
@@ -367,27 +393,39 @@ def _trial_batch(ids, sample, n_types, exact, seed):
     Frame t is drawn from rng_stream(seed, t). Frames are collected until
     they hold _BATCH_BURSTS bursts, and each such batch is decoded as one
     disjoint graph (see _decode), so the counts do not depend on the
-    batching."""
-    counts, frames, size = [], [], 0
+    batching. Each frame's slot rows go straight into the union buffer, and
+    the frame keeps only its sizes and user types. The buffer lives for this
+    call: it is sized from the frames it holds, and doubles when they need
+    more room, so each batch reuses it."""
+    counts, held, rows, n, m = [], [], None, 0, 0
     for i, t in enumerate(ids, 1):
-        frames.append(sample(rng=rng_stream(seed, t)))
-        size += frames[-1].n_active
-        if size >= _BATCH_BURSTS or i == len(ids):
-            counts.append(_count_losses(frames, n_types, exact))
-            frames, size = [], 0
+        f = sample(rng=rng_stream(seed, t))
+        if rows is None or n + f.n_active > len(rows):
+            grown = np.empty((max(n + f.n_active, 2 * n), f.d), dtype=np.int64)
+            if n:
+                grown[:n] = rows[:n]
+            rows = grown
+        np.add(f.slots, m, out=rows[n : n + f.n_active])
+        held.append((f.n_active, f.n_slots, f.user_type))
+        n, m = n + f.n_active, m + f.n_slots
+        del f  # its slots now live in rows only
+        if n >= _BATCH_BURSTS or i == len(ids):
+            counts.append(_count_losses(rows[:n], held, n_types, exact))
+            held, n, m = [], 0, 0
     return np.concatenate(counts)
 
 
-def _count_losses(frames, n_types, exact):
-    peeled, recovered, *_ = _decode(frames, exact)
+def _count_losses(rows, held, n_types, exact):
+    n_of, m_of, user_types = zip(*held)
+    peeled, recovered, *_ = _decode(rows, n_of, m_of, exact)
     # one bin per (frame, type)
-    types = [np.zeros(f.n_active, np.int64) if f.user_type is None else f.user_type - 1 for f in frames]
-    bins = len(frames) * n_types
-    key = np.concatenate(types) + np.repeat(np.arange(0, bins, n_types), [f.n_active for f in frames])
+    types = [np.zeros(k, np.int64) if u is None else u - 1 for k, u in zip(n_of, user_types)]
+    bins = len(held) * n_types
+    key = np.concatenate(types) + np.repeat(np.arange(0, bins, n_types), n_of)
     gen = np.bincount(key, minlength=bins)
     peel_lost = np.bincount(key[~peeled], minlength=bins)
     lost = peel_lost if recovered is peeled else np.bincount(key[~recovered], minlength=bins)
-    return np.stack([c.reshape(len(frames), n_types) for c in (gen, peel_lost, lost)], axis=1)
+    return np.stack([c.reshape(len(held), n_types) for c in (gen, peel_lost, lost)], axis=1)
 
 
 def _ratio_ci95(lost, gen):
@@ -433,8 +471,10 @@ def run_trials(
     else:
         sample, n_types = partial(sample_coupled_frame, m, build_topology(l, d), g, alpha=alpha), l
     batch = partial(_trial_batch, sample=sample, n_types=n_types, exact=decoder != "peeling", seed=seed)
+    # in-process, one chunk, since each chunk starts a new batch; a pool gets
     # four chunks per worker, so that a slow chunk does not hold up the rest
-    chunks = np.array_split(np.arange(trials), min(4 * pool_size(workers, trials), trials))
+    pool = pool_size(workers, trials)
+    chunks = np.array_split(np.arange(trials), 1 if pool == 1 else min(4 * pool, trials))
     counts = np.concatenate(pool_map(batch, [c.tolist() for c in chunks], workers))
 
     primary = 2 if decoder == "gje" else 1

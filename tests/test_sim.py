@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import statistics
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -350,7 +352,10 @@ def test_gje_rank_deficient_matches_dense_oracle():
 def _batch_views(frames, exact):
     """Per frame (recovered, peeled, peel_iterations, gje_rank, inactivations)
     from decoding the frames as one batch, as sets and ints."""
-    peeled, recovered, rounds, rank, k = sim._decode(frames, exact)
+    peeled, recovered, rounds, rank, k = sim._decode(
+        np.concatenate([f.slots + s for f, s in zip(frames, np.cumsum([0] + [f.n_slots for f in frames]))]),
+        [f.n_active for f in frames], [f.n_slots for f in frames], exact,
+    )
     start = np.cumsum([0] + [f.n_active for f in frames])
     out = []
     for i, (lo, hi) in enumerate(zip(start, start[1:])):
@@ -414,6 +419,66 @@ def test_run_trials_payload_does_not_depend_on_batching(monkeypatch, decoder):
     for budget in (1, 300, 10**9):
         monkeypatch.setattr(sim, "_BATCH_BURSTS", budget)
         assert [run_trials(sc, decoder=decoder, **kw).to_dict() for sc, kw in runs] == default
+
+
+def test_decoding_leaves_every_callers_slots_unchanged(monkeypatch):
+    # peel and gje_decode read a frame's own slots at offset 0, and a batch
+    # copies each frame into the union at its slot offset: neither writes
+    # into FrameGraph.slots, also for frames at a nonzero offset
+    frames = [sample_block_frame(60, g, 3, rng_stream(3, t)) for t, g in enumerate((0.0, 0.9, 1.1, 0.5))]
+    before = [f.slots.tobytes() for f in frames]
+    for f in frames:
+        peel(f)
+        gje_decode(f)
+    assert [f.slots.tobytes() for f in frames] == before
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
+    for exact in (False, True):
+        held = iter(frames)
+        counts = sim._trial_batch(range(len(frames)), lambda rng: next(held), 1, exact, 0)
+        assert counts.shape == (4, 3, 1) and counts[1:, 0].min() > 0
+        assert [f.slots.tobytes() for f in frames] == before
+
+
+def test_run_trials_payload_does_not_depend_on_buffer_growth(monkeypatch):
+    # the union buffer is sized from the frames it holds and grows within a
+    # call: at a budget below the first frame's size every frame is a batch
+    # and the buffer grows at each frame larger than those before it; at a
+    # budget between the first two frames' sizes the first batch grows it;
+    # and a chunk may open with empty frames, of unknown width until a frame
+    # with bursts arrives
+    assert [sample_block_frame(120, 0.95, 3, rng_stream(1, t)).n_active for t in range(3)] == [108, 137, 108]
+    assert [sample_block_frame(20, 0.05, 3, rng_stream(32, t)).n_active for t in range(4)] == [0, 0, 0, 3]
+    topo = build_topology(4, 3)
+    assert [sample_coupled_frame(10, topo, 0.03, rng_stream(32, t)).n_active for t in range(3)] == [0, 0, 3]
+    runs = [
+        ("block", dict(m=120, d=3, g=0.95, trials=24, seed=1)),
+        ("block", dict(m=20, d=3, g=0.05, trials=30, seed=32)),
+        ("coupled", dict(m=10, d=3, g=0.03, trials=12, seed=32, l=4)),
+    ]
+    for decoder in ("peeling", "both"):
+        default = [run_trials(sc, decoder=decoder, **kw).to_dict() for sc, kw in runs]
+        for budget in (50, 120, 1, 2):
+            monkeypatch.setattr(sim, "_BATCH_BURSTS", budget)
+            assert [run_trials(sc, decoder=decoder, **kw).to_dict() for sc, kw in runs] == default
+        monkeypatch.undo()
+
+
+def test_decoding_two_c8_super_frames_stays_under_its_memory_bound(monkeypatch):
+    # one batch of two C8 super-frames (~44k bursts, 52k slots): the slots
+    # are held once, in the union buffer, and the accumulator is filled
+    # without an n*d temporary. Traced peaks, numpy 2.4: 5.09 MB when each
+    # batch built fresh union arrays from a list of frames, 3.65 MB now
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
+    sample = partial(sample_coupled_frame, 500, build_topology(50, 3), 0.88)
+    sim._trial_batch([2], sample, 50, False, 88)  # numpy's first-call setup is not the batch's
+    tracemalloc.start()
+    try:
+        counts = sim._trial_batch([0, 1], sample, 50, False, 88)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[:, 0].sum() > 40_000
+    assert peak < 4.4e6
 
 
 def test_gje_inactivation_count():
