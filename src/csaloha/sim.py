@@ -31,14 +31,13 @@ class FrameGraph:
     user_type: np.ndarray | None = None
 
     def __post_init__(self):
-        self.slots = _as_index(self.slots, "slot indices").reshape(-1, self.d)
+        slots = _as_index(self.slots, "slot indices")
+        self.slots = slots if slots.size else slots.reshape(0, self.d)
+        if self.slots.shape[1:] != (self.d,):
+            raise ValueError(f"slots must have shape (n, d={self.d}), got {self.slots.shape}")
         if self.n_slots < 1:
             raise ValueError(f"need at least one slot, got {self.n_slots}")
-        if self.slots.size:
-            if self.slots.min() < 0 or self.slots.max() >= self.n_slots:
-                raise ValueError("slot indices out of range")
-            if _repeats_a_slot(self.slots).any():
-                raise ValueError("a burst lists the same slot twice")
+        _check_rows(self.slots, [self.n_active], self.n_slots)
         if self.user_type is not None:
             self.user_type = _as_index(self.user_type, "user types")
             if self.user_type.shape != (self.slots.shape[0],):
@@ -84,15 +83,22 @@ def sample_block_frame(
     """Draw one MAC frame: the active count is Poisson(g*m) (the large-population
     limit) or Binomial(alpha*m, g/alpha) when an explicit population is given;
     each active burst picks d distinct slots uniformly."""
+    return FrameGraph(n_slots=m, d=d, slots=_draw_block(m, g, d, rng, alpha)[0])
+
+
+def _draw_block(m, g, d, rng, alpha=None):
+    """sample_block_frame's draw: (the slot rows, [the burst count])."""
     if d < 1:
         raise ValueError(f"repetition degree must be >= 1, got {d}")
     if m < d:
         raise ValueError(f"need at least d={d} slots, got m={m}")
-    n = _draw_active(rng, g, m, alpha)
-    slots = rng.integers(0, m, size=(n, d), dtype=np.int64)
-    while (clash := _repeats_a_slot(slots)).any():
-        slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d), dtype=np.int64)
-    return FrameGraph(n_slots=m, d=d, slots=slots)
+    counts = _draw_active(rng, g, m, alpha, 1)
+    slots = rng.integers(0, m, size=(int(counts[0]), d), dtype=np.int64)
+    redo = np.flatnonzero(_repeats_a_slot(slots))
+    while redo.size:
+        slots[redo] = rng.integers(0, m, size=(redo.size, d), dtype=np.int64)
+        redo = redo[_repeats_a_slot(slots[redo])]  # only a redrawn row can repeat a slot
+    return slots, counts
 
 
 def _repeats_a_slot(slots: np.ndarray) -> np.ndarray:
@@ -106,33 +112,49 @@ def _repeats_a_slot(slots: np.ndarray) -> np.ndarray:
     return clash
 
 
+def _check_rows(rows, n_of, n_slots):
+    """Raise unless every row lists d distinct slots of its own frame f, f*n_slots..(f+1)*n_slots-1."""
+    f = np.flatnonzero(n_of)  # the frames with rows, which start at flat[at]
+    at, flat = (np.cumsum(n_of) - n_of)[f] * rows.shape[1], rows.ravel()
+    lo, hi = (np.minimum.reduceat(flat, at), np.maximum.reduceat(flat, at)) if f.size else (f, f)
+    if (lo < f * n_slots).any() or (hi >= (f + 1) * n_slots).any():
+        raise ValueError("slot indices out of range")
+    if _repeats_a_slot(rows).any():
+        raise ValueError("a burst lists the same slot twice")
+
+
 def sample_coupled_frame(
     m: int, topo: CoupledTopology, g: float, rng: np.random.Generator, alpha: float | None = None
 ) -> FrameGraph:
     """Draw one super-frame: type-i bursts place one uniform slot in each of
     frames i..i+d-1 (mod m_f); on the terminated chain the last d-1 frames
-    carry only copies."""
-    if m < 1:
-        raise ValueError(f"need at least one slot per frame, got {m}")
-    counts = np.array([_draw_active(rng, g, m, alpha) for _ in range(topo.l)])
-    n = int(counts.sum())
-    frame_of_type = (np.arange(topo.l)[:, None] + np.arange(topo.d)) % topo.m_f  # (l, d)
-    slots = rng.integers(0, m, size=(n, topo.d), dtype=np.int64)  # slot within its frame
-    slots += np.repeat(frame_of_type * m, counts, axis=0)
+    carry only copies. The bursts are sorted by type."""
+    slots, counts = _draw_coupled(m, topo, g, rng, alpha)
     types = np.repeat(np.arange(1, topo.l + 1), counts)
     return FrameGraph(n_slots=m * topo.m_f, d=topo.d, slots=slots, user_type=types)
 
 
-def _draw_active(rng, g, m, alpha):
+def _draw_coupled(m, topo, g, rng, alpha=None):
+    """sample_coupled_frame's draw: (the slot rows, sorted by type, and each type's burst count)."""
+    if m < 1:
+        raise ValueError(f"need at least one slot per frame, got {m}")
+    counts = _draw_active(rng, g, m, alpha, topo.l)
+    frame_of_type = (np.arange(topo.l)[:, None] + np.arange(topo.d)) % topo.m_f  # (l, d)
+    slots = rng.integers(0, m, size=(int(counts.sum()), topo.d), dtype=np.int64)  # slot within its frame
+    slots += np.repeat(frame_of_type * m, counts, axis=0)
+    return slots, counts
+
+
+def _draw_active(rng, g, m, alpha, size):
     if not 0.0 <= g < math.inf:
         raise ValueError(f"offered traffic must be finite and >= 0, got {g}")
     if alpha is None:
-        return int(rng.poisson(g * m))
+        return rng.poisson(g * m, size)
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"population alpha must be positive and finite, got {alpha}")
     if g > alpha:
         raise ValueError(f"g={g} implies an activation probability above 1 at alpha={alpha}")
-    return int(rng.binomial(int(round(alpha * m)), g / alpha))
+    return rng.binomial(int(round(alpha * m)), g / alpha, size)
 
 
 def peel(frame: FrameGraph) -> DecodeReport:
@@ -268,10 +290,9 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[i
     """
     # indexing through memoryviews gives plain ints, no numpy scalars
     rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
-    local = flat[b0 * d : b1 * d] - s0
-    residents = np.argsort(local, kind="stable")  # burst ids grouped by slot
-    residents //= d
-    residents += b0
+    left = b0 + np.flatnonzero(solved_v[b0:b1] == 0)  # the bursts peeling left
+    local = flat.reshape(-1, d)[left].ravel() - s0
+    residents = left[np.argsort(local, kind="stable") // d]  # grouped by slot, ascending in each
     first = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=s1 - s0))))
     deg_f = deg_v[s0:s1]
     smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
@@ -365,67 +386,65 @@ class SimReport:
 
 # Bursts that _trial_batch collects before it decodes the frames as one
 # graph. Larger batches share each round's numpy calls among more frames but
-# hold more memory. Swept on a 2-core host: C7 (block frames of 190-3000
-# bursts) and C8 (coupled super-frames of ~22k), in-process, median seconds
-# over 10 alternated runs in each of two sittings, and ru_maxrss in MB of a
-# fresh process per run:
+# hold more memory. Swept on a 2-core host over C7 (block frames of 190-3000
+# bursts), C8 (super-frames of ~22k) and sim-exact (EX, ~3.6k): seconds, the
+# median of 10 in-process rounds of every budget in turn, in two sittings;
+# ru_maxrss in MB, the median over fresh processes:
 #
-#   budget    C7 s         C7 MB   C8 s         C8 MB
-#    2,048    0.63 / 0.59  36.0    0.92 / 0.86  37.7
-#    8,000    0.51 / 0.44  36.5    0.96 / 0.86  37.8
-#   12,000    0.45 / 0.37  37.0    0.85 / 0.89  37.7
-#   16,000    0.44 / 0.42  37.2    0.89 / 0.79  37.8
-#   24,000    0.47 / 0.41  37.8    0.82 / 0.69  39.7
-#   32,000    0.44 / 0.42  38.9    0.78 / 0.70  39.7
-#   48,000    0.45 / 0.36  40.3    0.73 / 0.57  41.5
+#   budget   C7 s         C8 s         EX s           C7 / C8 / EX MB
+#    2,048   0.55 / 0.55  0.94 / 0.80  0.085 / 0.100  36.0 / 37.8 / 36.0
+#    8,000   0.39 / 0.33  0.81 / 0.88  0.071 / 0.100  36.4 / 37.8 / 36.4
+#   12,000   0.38 / 0.37  0.83 / 0.96  0.070 / 0.107  36.7 / 37.8 / 36.5
+#   16,000   0.34 / 0.37  0.78 / 0.85  0.066 / 0.108  37.4 / 38.0 / 36.8
+#   24,000   0.32 / 0.34  0.74 / 0.68  0.067 / 0.092  38.2 / 38.8 / 37.3
+#   32,000   0.33 / 0.32  0.76 / 0.58  0.067 / 0.079  38.3 / 38.8 / 37.9
+#   48,000   0.38 / 0.37  0.70 / 0.64  0.065 / 0.072  39.5 / 40.8 / 39.2
 #
-# C7 gains little past 12,000. C8 gains only once a batch holds two
-# super-frames, and 24,000 is the smallest budget that pairs them; 48,000
-# holds three, at 1.8-2.5 MB more.
-_BATCH_BURSTS = 24_000
+# C8 gains as a batch holds more super-frames: 48,000, the smallest budget
+# that holds three, cuts its peel rounds from 12,125 to 9,196. C7 gains
+# nothing past ~16,000 (24,000 against 48,000: 0.31 against 0.32 s).
+_BATCH_BURSTS = 48_000
 
 
-def _trial_batch(ids, sample, n_types, exact, seed):
+def _trial_batch(ids, draw, n_slots, exact, seed):
     """A (len(ids), 3, n_types) int64 array: per trial t in ids, the bursts
     counted by user type (a block frame has one type), row 0 those generated,
     row 1 those peeling lost, row 2 those the decoder's result lost.
 
-    Frame t is drawn from rng_stream(seed, t). Frames are collected until
-    they hold _BATCH_BURSTS bursts, and each such batch is decoded as one
-    disjoint graph (see _decode), so the counts do not depend on the
-    batching. Each frame's slot rows go straight into the union buffer, and
-    the frame keeps only its sizes and user types. The buffer lives for this
-    call: it is sized from the frames it holds, and doubles when they need
-    more room, so each batch reuses it."""
-    counts, held, rows, n, m = [], [], None, 0, 0
+    Frame t (n_slots slots) is draw(rng=rng_stream(seed, t)): its rows, sorted by type, and
+    burst counts per type, which sample_*_frame wraps in a FrameGraph. Frames are collected
+    until they hold _BATCH_BURSTS bursts, and each batch is checked and decoded as one disjoint
+    graph (see _count_losses), so the counts do not depend on the batching. The rows go into one
+    union buffer for all batches, doubled up to the budget and then grown only as a batch needs."""
+    counts, held, rows, n = [], [], None, 0
     for i, t in enumerate(ids, 1):
-        f = sample(rng=rng_stream(seed, t))
-        if rows is None or n + f.n_active > len(rows):
-            grown = np.empty((max(n + f.n_active, 2 * n), f.d), dtype=np.int64)
-            if n:
-                grown[:n] = rows[:n]
+        slots, by_type = draw(rng=rng_stream(seed, t))
+        n0, n = n, n + len(slots)
+        if rows is None or n > len(rows):
+            grown = np.empty((max(n, min(2 * n0, _BATCH_BURSTS)), slots.shape[1]), dtype=np.int64)
+            if n0:
+                grown[:n0] = rows[:n0]
             rows = grown
-        np.add(f.slots, m, out=rows[n : n + f.n_active])
-        held.append((f.n_active, f.n_slots, f.user_type))
-        n, m = n + f.n_active, m + f.n_slots
-        del f  # its slots now live in rows only
+        np.add(slots, len(held) * n_slots, out=rows[n0:n])
+        held.append(by_type)
+        del slots  # its rows now live in the union only
         if n >= _BATCH_BURSTS or i == len(ids):
-            counts.append(_count_losses(rows[:n], held, n_types, exact))
-            held, n, m = [], 0, 0
+            counts.append(_count_losses(rows[:n], np.array(held), n_slots, exact))
+            held, n = [], 0
     return np.concatenate(counts)
 
 
-def _count_losses(rows, held, n_types, exact):
-    n_of, m_of, user_types = zip(*held)
-    peeled, recovered, *_ = _decode(rows, n_of, m_of, exact)
-    # one bin per (frame, type)
-    types = [np.zeros(k, np.int64) if u is None else u - 1 for k, u in zip(n_of, user_types)]
-    bins = len(held) * n_types
-    key = np.concatenate(types) + np.repeat(np.arange(0, bins, n_types), n_of)
-    gen = np.bincount(key, minlength=bins)
-    peel_lost = np.bincount(key[~peeled], minlength=bins)
-    lost = peel_lost if recovered is peeled else np.bincount(key[~recovered], minlength=bins)
-    return np.stack([c.reshape(len(held), n_types) for c in (gen, peel_lost, lost)], axis=1)
+def _count_losses(rows, gen, n_slots, exact):
+    """One batch of _trial_batch: frame f's rows, slot ids offset by f*n_slots, and gen[f], its
+    burst count per type. The batch is checked once, as FrameGraph checks a frame. A frame's rows
+    are sorted by type, so the union is cut into runs of gen.ravel() rows, one per (frame, type),
+    and each run counts the lost bursts inside it."""
+    n_of = gen.sum(axis=1)
+    _check_rows(rows, n_of, n_slots)
+    peeled, recovered, *_ = _decode(rows, n_of, [n_slots] * len(gen), exact)
+    ends = np.cumsum(gen)  # each run's end
+    lost = [np.diff(np.searchsorted(np.flatnonzero(~ok), ends), prepend=0) for ok in (peeled, recovered)]
+    return np.stack([gen, *(c.reshape(gen.shape) for c in lost)], axis=1)
 
 
 def _ratio_ci95(lost, gen):
@@ -467,10 +486,11 @@ def run_trials(
     if (l is None) != (scenario == "block"):
         raise ValueError(f"coupled runs need a chain length l and block runs take none, got l={l}")
     if scenario == "block":
-        sample, n_types = partial(sample_block_frame, m, g, d, alpha=alpha), 1
+        draw, n_slots = partial(_draw_block, m, g, d, alpha=alpha), m
     else:
-        sample, n_types = partial(sample_coupled_frame, m, build_topology(l, d), g, alpha=alpha), l
-    batch = partial(_trial_batch, sample=sample, n_types=n_types, exact=decoder != "peeling", seed=seed)
+        topo = build_topology(l, d)
+        draw, n_slots = partial(_draw_coupled, m, topo, g, alpha=alpha), m * topo.m_f
+    batch = partial(_trial_batch, draw=draw, n_slots=n_slots, exact=decoder != "peeling", seed=seed)
     # in-process, one chunk, since each chunk starts a new batch; a pool gets
     # four chunks per worker, so that a slow chunk does not hold up the rest
     pool = pool_size(workers, trials)

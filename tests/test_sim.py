@@ -55,6 +55,13 @@ def test_frame_graph_validation():
     assert f.slots.dtype == f.user_type.dtype == np.int64
     assert f.slots.tolist() == [[0, 2]] and f.user_type.tolist() == [1]
     assert FrameGraph(n_slots=3, d=2, slots=np.zeros((0, 2))).slots.shape == (0, 2)
+    assert FrameGraph(n_slots=3, d=3, slots=[]).slots.shape == (0, 3)
+    # slots must already be (n, d): a row of 2d slots is not two bursts, a
+    # (3, 2) array at d=3 is not two rows mixed from three, and a size that
+    # d does not divide is a shape error
+    for d, slots in ((2, [[0, 1, 2, 3]]), (3, np.arange(6).reshape(3, 2)), (2, [0, 1, 2]), (2, [0, 1])):
+        with pytest.raises(ValueError, match="slots must have shape"):
+            FrameGraph(n_slots=10, d=d, slots=slots)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -129,6 +136,82 @@ def test_samplers_reject_non_finite_load(g, alpha):
         sample_block_frame(10, g, 3, rng, alpha=alpha)
     with pytest.raises(ValueError, match="offered traffic"):
         sample_coupled_frame(10, build_topology(4, 3), g, rng, alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+@pytest.mark.parametrize("m", [5, 40])
+def test_one_vector_count_draw_equals_scalar_draws(m, alpha):
+    # a coupled super-frame draws its l per-type counts in one call; they are
+    # the draws of l scalar calls, and leave the stream where those leave it
+    # (m=5 and m=40 reach both of numpy's Poisson and Binomial algorithms)
+    one, each = rng_stream(6, 0), rng_stream(6, 0)
+    counts = sim._draw_active(one, 0.9, m, alpha, 50)
+    assert counts.tolist() == [sim._draw_active(each, 0.9, m, alpha, None) for _ in range(50)]
+    assert one.integers(0, 2**62, 8).tolist() == each.integers(0, 2**62, 8).tolist()
+
+
+def _spy_batches(monkeypatch):
+    """Record the (rows, gen) of every batch _trial_batch decodes."""
+    seen, count = [], sim._count_losses
+
+    def spy(rows, gen, n_slots, exact):
+        seen.append((rows.copy(), gen.copy()))
+        return count(rows, gen, n_slots, exact)
+
+    monkeypatch.setattr(sim, "_count_losses", spy)
+    return seen
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_batched_block_draws_are_the_sampled_frames(monkeypatch, alpha):
+    # at m=d=3 a row is distinct with probability 2/9, so each frame takes
+    # several redraw rounds; re-checking only the redrawn rows draws what
+    # re-checking every row draws
+    m, g, d, seed, trials = 3, 1.5, 3, 4, 12
+    checks, repeats = [], sim._repeats_a_slot
+    monkeypatch.setattr(sim, "_repeats_a_slot", lambda rows: checks.append(len(rows)) or repeats(rows))
+    frames = [sample_block_frame(m, g, d, rng_stream(seed, t), alpha=alpha) for t in range(trials)]
+    assert len(checks) > 4 * trials
+    for t, f in enumerate(frames):
+        rng = rng_stream(seed, t)
+        n = rng.poisson(g * m) if alpha is None else rng.binomial(int(round(alpha * m)), g / alpha)
+        slots = rng.integers(0, m, size=(n, d))
+        while (clash := (np.diff(np.sort(slots, axis=1), axis=1) == 0).any(axis=1)).any():
+            slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d))
+        assert np.array_equal(f.slots, slots)
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 40)
+    seen = _spy_batches(monkeypatch)
+    sim._trial_batch(range(trials), partial(sim._draw_block, m, g, d, alpha=alpha), m, False, seed)
+    assert len(seen) > 1
+    assert np.array_equal(
+        np.concatenate([r - m * np.arange(len(c)).repeat(c.sum(1))[:, None] for r, c in seen]),
+        np.concatenate([f.slots for f in frames]),
+    )
+    assert np.concatenate([c for _, c in seen]).ravel().tolist() == [f.n_active for f in frames]
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+@pytest.mark.parametrize(
+    "topo", [build_topology(6, 3), build_circulant_topology(6, 3)], ids=["chain", "circulant"]
+)
+def test_batched_coupled_draws_are_the_sampled_frames(monkeypatch, topo, alpha):
+    # the batch decodes each super-frame's rows, at its slot offset, and
+    # counts its bursts per type from the draw: they must be the sampled
+    # frame's slots and the bincount of its user types, which never decrease
+    m, g, seed, trials = 8, 0.9, 5, 10
+    frames = [sample_coupled_frame(m, topo, g, rng_stream(seed, t), alpha=alpha) for t in range(trials)]
+    assert all((np.diff(f.user_type) >= 0).all() for f in frames)
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 100)
+    seen = _spy_batches(monkeypatch)
+    n_slots = m * topo.m_f
+    sim._trial_batch(range(trials), partial(sim._draw_coupled, m, topo, g, alpha=alpha), n_slots, False, seed)
+    assert len(seen) > 1
+    assert np.array_equal(
+        np.concatenate([r - n_slots * np.arange(len(c)).repeat(c.sum(1))[:, None] for r, c in seen]),
+        np.concatenate([f.slots for f in frames]),
+    )
+    want = [np.bincount(f.user_type, minlength=topo.l + 1)[1:] for f in frames]
+    assert np.array_equal(np.concatenate([c for _, c in seen]), np.array(want))
 
 
 def test_sample_coupled_frame_structure():
@@ -423,8 +506,8 @@ def test_run_trials_payload_does_not_depend_on_batching(monkeypatch, decoder):
 
 def test_decoding_leaves_every_callers_slots_unchanged(monkeypatch):
     # peel and gje_decode read a frame's own slots at offset 0, and a batch
-    # copies each frame into the union at its slot offset: neither writes
-    # into FrameGraph.slots, also for frames at a nonzero offset
+    # copies each drawn frame's rows into the union at its slot offset:
+    # neither writes into the rows it is given, also at a nonzero offset
     frames = [sample_block_frame(60, g, 3, rng_stream(3, t)) for t, g in enumerate((0.0, 0.9, 1.1, 0.5))]
     before = [f.slots.tobytes() for f in frames]
     for f in frames:
@@ -433,10 +516,23 @@ def test_decoding_leaves_every_callers_slots_unchanged(monkeypatch):
     assert [f.slots.tobytes() for f in frames] == before
     monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
     for exact in (False, True):
-        held = iter(frames)
-        counts = sim._trial_batch(range(len(frames)), lambda rng: next(held), 1, exact, 0)
+        held = iter([(f.slots, np.array([f.n_active])) for f in frames])
+        counts = sim._trial_batch(range(len(frames)), lambda rng: next(held), 60, exact, 0)
         assert counts.shape == (4, 3, 1) and counts[1:, 0].min() > 0
         assert [f.slots.tobytes() for f in frames] == before
+
+
+def test_a_batch_checks_every_frames_rows():
+    # the batch checks once what FrameGraph checks per frame: a slot of the
+    # next frame, one of an earlier frame (here an empty one) and a repeated
+    # slot are refused in any frame, though all lie inside the union
+    good, empty = np.array([[0, 1], [2, 3]]), np.zeros((0, 2), dtype=np.int64)
+    refused = (([[0, 4]], "out of range"), ([[-1, 0]], "out of range"), ([[2, 2]], "same slot twice"))
+    for bad, match in refused:
+        frames = [good, empty, np.array(bad), good]
+        held = iter([(f, np.array([len(f)])) for f in frames])
+        with pytest.raises(ValueError, match=match):
+            sim._trial_batch(range(4), lambda rng: next(held), 4, False, 0)
 
 
 def test_run_trials_payload_does_not_depend_on_buffer_growth(monkeypatch):
@@ -463,22 +559,47 @@ def test_run_trials_payload_does_not_depend_on_buffer_growth(monkeypatch):
         monkeypatch.undo()
 
 
+def _c8_batch_peak(monkeypatch, ids, exact):
+    """Traced peak bytes and loss counts of one batch of the C8 super-frames
+    drawn from rng_stream(88, t) for t in ids."""
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
+    topo = build_topology(50, 3)
+    draw = partial(sim._draw_coupled, 500, topo, 0.88)
+    sim._trial_batch([7], draw, 500 * topo.m_f, exact, 88)  # numpy's first-call setup is not the batch's
+    tracemalloc.start()
+    try:
+        counts = sim._trial_batch(ids, draw, 500 * topo.m_f, exact, 88)
+        return tracemalloc.get_traced_memory()[1], counts
+    finally:
+        tracemalloc.stop()
+
+
 def test_decoding_two_c8_super_frames_stays_under_its_memory_bound(monkeypatch):
     # one batch of two C8 super-frames (~44k bursts, 52k slots): the slots
     # are held once, in the union buffer, and the accumulator is filled
     # without an n*d temporary. Traced peaks, numpy 2.4: 5.09 MB when each
-    # batch built fresh union arrays from a list of frames, 3.65 MB now
-    monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
-    sample = partial(sample_coupled_frame, 500, build_topology(50, 3), 0.88)
-    sim._trial_batch([2], sample, 50, False, 88)  # numpy's first-call setup is not the batch's
-    tracemalloc.start()
-    try:
-        counts = sim._trial_batch([0, 1], sample, 50, False, 88)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # batch built fresh union arrays from a list of frames, 3.65 MB with
+    # one FrameGraph per frame, 3.30 MB with the rows drawn into the union
+    peak, counts = _c8_batch_peak(monkeypatch, [0, 1], exact=False)
     assert counts[:, 0].sum() > 40_000
     assert peak < 4.4e6
+
+
+def test_decoding_three_c8_super_frames_stays_under_its_memory_bound(monkeypatch):
+    # the batch a 48,000-burst budget makes: 6.00 MB with one FrameGraph per
+    # frame and its n-long user types, 5.47 MB now (numpy 2.4)
+    peak, counts = _c8_batch_peak(monkeypatch, [0, 1, 2], exact=False)
+    assert counts[:, 0].sum() > 60_000
+    assert peak < 5.7e6
+
+
+def test_exact_pass_over_two_c8_super_frames_stays_under_its_memory_bound(monkeypatch):
+    # _inactivate groups only the bursts that peeling left by slot, not all
+    # n_f*d entries of the stalled frame: 4.66 MB with one FrameGraph per
+    # frame, 4.31 MB with the rows drawn into the union, 3.63 MB now
+    peak, counts = _c8_batch_peak(monkeypatch, [0, 1], exact=True)
+    assert counts[:, 1].sum() > counts[:, 2].sum()  # peeling stalled, inactivation ran
+    assert peak < 4.0e6
 
 
 def test_gje_inactivation_count():
