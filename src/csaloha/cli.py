@@ -51,8 +51,7 @@ def _workers() -> int:
 
 def _row(task) -> dict:
     """Every column of a thresholds or sweep row for one degree."""
-    d, l, alpha, tol, max_iters = task
-    params = SchemeParams(d, alpha)  # checks alpha before the long DE runs
+    d, l, params, tol, max_iters = task
     cfg = BlockDeConfig() if max_iters is None else BlockDeConfig(max_iters=max_iters)
     g_block = block_threshold(d, cfg, 1e-5 if tol is None else tol).threshold
     g_coupled = coupled_threshold(d, l, cfg, 1e-4 if tol is None else tol).threshold
@@ -69,7 +68,8 @@ def _row(task) -> dict:
 
 
 def _table(args, cols, ds, alpha) -> int:
-    tasks = [(d, args.l, alpha, args.tol, args.max_iters) for d in ds]
+    # SchemeParams checks alpha and d*alpha for every row before the long DE runs
+    tasks = [(d, args.l, SchemeParams(d, alpha), args.tol, args.max_iters) for d in ds]
     rows = pool_map(_row, tasks, _workers())
     _write(_emit_table(cols, rows, args), args.out)
     return 0

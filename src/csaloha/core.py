@@ -30,8 +30,8 @@ class SchemeParams:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"repetition degree d must be an integer >= 1, got {self.d!r}")
-        if not 1.0 < self.alpha < math.inf:
-            raise ValueError(f"normalized population alpha must be finite and exceed 1, got {self.alpha!r}")
+        if not (1.0 < self.alpha and self.d * self.alpha < 2.0**1023):  # map_load_bound sums two u <= d*alpha
+            raise ValueError(f"population alpha must exceed 1 with d*alpha below 2**1023, got {self.alpha!r}")
 
     @property
     def nominal_rate(self) -> float:

@@ -7,6 +7,7 @@ per-trial random streams.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -150,8 +151,8 @@ def _draw_active(rng, g, m, alpha, size):
         raise ValueError(f"offered traffic must be finite and >= 0, got {g}")
     if alpha is None:
         return rng.poisson(g * m, size)
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"population alpha must be positive and finite, got {alpha}")
+    if not (0.0 < alpha and alpha * m < 2.0**63):  # the binomial's user count is an int64
+        raise ValueError(f"population alpha must be positive with alpha*m below 2**63, got {alpha} at m={m}")
     if g > alpha:
         raise ValueError(f"g={g} implies an activation probability above 1 at alpha={alpha}")
     return rng.binomial(int(round(alpha * m)), g / alpha, size)
@@ -264,50 +265,41 @@ def _decode(rows: np.ndarray, n_of, m_of, exact: bool = False):
     rank, k = np.array(n_of, dtype=np.int64), np.zeros(len(n_of), dtype=np.int64)
     recovered = np.ones(n, dtype=bool)
     for f in np.flatnonzero(np.maximum.reduceat(deg_v, s_start[:-1])):
-        (b0, b1), (s0, s1) = b_start[f : f + 2].tolist(), s_start[f : f + 2].tolist()
-        lost, rank[f], k[f] = _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1)
+        lost, rank[f], k[f] = _inactivate(flat, d, deg_v, acc_v, solved_v, *b_start[f : f + 2].tolist())
         recovered[lost] = False
     return peeled, recovered, rounds, rank, k
 
 
-def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, s1) -> tuple[list[int], int, int]:
-    """Inactivation decoding of the frame with bursts b0..b1-1 and slots
-    s0..s1-1, whose peeling stalled; it updates the union's arrays in place:
-    deg_v holds each slot's count of unresolved bursts and acc_v the sum of
-    their ids (see _decode), so a slot of degree 1 names its burst.
+def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1) -> tuple[list[int], int, int]:
+    """Inactivation decoding of the frame with bursts b0..b1-1, whose peeling
+    stalled; it updates the union's arrays in place: deg_v holds each slot's
+    count of unresolved bursts and acc_v the sum of their ids (see _decode),
+    so a slot of degree 1 names its burst.
 
     One loop over a FIFO queue of slots cancels one burst per step: that of
     the next queued slot still of degree 1, which inherits the slot's mask,
-    or, once the queue is empty, the lowest-numbered unresolved burst of the
-    lowest-numbered minimum-degree slot, which is inactivated: it becomes the
-    unknown x_j, with mask bit j. A nonzero mask passes on to the cancelled
-    burst's slots, so every slot and every later-solved burst carries its
-    dependence on x as a bitmask. Once no burst is unresolved, the slots that
-    solved no burst hold the constraints mask . x = known. A burst is
-    recovered iff its mask lies in their span, that is iff it reduces to 0
-    against the constraints' echelon basis. Returns (the bursts not
-    recovered, the frame's rank n - k + rank(constraints), k).
+    or, once the queue is empty, the lowest-numbered unresolved burst, which
+    becomes the unknown x_j, mask bit j. A solved burst stays solved, so one
+    pass over the bursts peeling left finds these with no index by slot.
+    Masks pass on to the cancelled burst's slots; at the end the slots that
+    solved no burst hold the constraints mask . x = known, and a burst is
+    recovered iff its mask reduces to 0 against their echelon basis, whatever
+    was inactivated. Returns (lost bursts, rank n - k + rank(constraints), k).
     """
     # indexing through memoryviews gives plain ints, no numpy scalars
     rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
-    left = b0 + np.flatnonzero(solved_v[b0:b1] == 0)  # the bursts peeling left
-    local = flat.reshape(-1, d)[left].ravel() - s0
-    residents = left[np.argsort(local, kind="stable") // d]  # grouped by slot, ascending in each
-    first = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=s1 - s0))))
-    deg_f = deg_v[s0:s1]
+    left = iter((b0 + np.flatnonzero(solved_v[b0:b1] == 0)).tolist())  # the bursts peeling left, ascending
     smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
     queue: deque[int] = deque()
     k = 0
-    while queue or (live := np.flatnonzero(deg_f)).size:
+    while queue or (b := next((j for j in left if not solved[j]), -1)) >= 0:
         if queue:
             s = queue.popleft()
             if deg[s] != 1:
                 continue
             b, v = acc[s], smask.get(s, 0)
         else:
-            s = int(live[np.argmin(deg_f[live])])
-            b = next(int(b) for b in residents[first[s] : first[s + 1]] if not solved[b])
             v, k = 1 << k, k + 1
         solved[b] = 1
         for t in rows[b * d : (b + 1) * d]:
@@ -481,6 +473,10 @@ def run_trials(
         raise ValueError(f"scenario must be 'block' or 'coupled', got {scenario!r}")
     if decoder not in ("peeling", "gje", "both"):
         raise ValueError(f"decoder must be peeling|gje|both, got {decoder!r}")
+    for what, x in dict(m=m, d=d, trials=trials, seed=seed, l=l).items():
+        if not (x is None or isinstance(x, numbers.Real) and x % 1 == 0):  # refused, not rounded
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+    m, d, trials, seed, l = (x if x is None else int(x) for x in (m, d, trials, seed, l))
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if (l is None) != (scenario == "block"):

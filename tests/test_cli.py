@@ -106,6 +106,29 @@ def test_infinite_alpha_is_a_parameter_error(capsys, command):
     assert rc == 2 and out == "" and "parameter error" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "block", "--d", "3", "--g", "0.5", "--slots", "2000", "--trials", "1", "--alpha", "1e17"],
+        ["simulate", "block", "--d", "3", "--g", "0.5", "--slots", "2000", "--trials", "1", "--alpha", "1e308"],
+        ["thresholds", "--d-max", "2", "--alpha", "1e308", "--l", "10"],
+        ["thresholds", "--d-max", "6", "--alpha", "2e307", "--l", "10"],
+    ],
+    ids=["population", "population-inf", "map-bound", "map-bound-d5"],
+)
+def test_huge_alpha_is_a_parameter_error(capsys, monkeypatch, command):
+    # a binomial population alpha*m past int64 overflowed in numpy, and a
+    # d*alpha past 2**1023 made map_load_bound return inf; at 2e307 only the
+    # rows d=5 and d=6 overflow, and they are refused before any row's DE runs
+    def fail(*args, **kwargs):
+        raise AssertionError("a row ran before alpha was checked")
+
+    monkeypatch.setattr(cli, "_row", fail)
+    rc, out, err = run_cli(capsys, *command)
+    assert rc == 2 and out == ""
+    assert err.startswith("csaloha: parameter error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("extra", [[], ["--alpha", "10"], ["--l", "4"]], ids=["block", "alpha", "coupled"])
 @pytest.mark.parametrize("g", ["nan", "inf"])
 def test_non_finite_load_is_a_parameter_error(capsys, g, extra):
