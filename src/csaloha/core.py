@@ -11,6 +11,7 @@ i..i+d-1); anything stored as a numpy index array is 0-indexed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -69,6 +70,8 @@ class CoupledTopology:
     wrap: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "l", as_int(self.l, "chain length l"))
+        object.__setattr__(self, "d", as_int(self.d, "repetition degree d"))
         if self.d < 1 or self.l < (self.d if self.wrap else 1):
             bound = "l >= d >= 1" if self.wrap else "l >= 1 and d >= 1"
             raise ValueError(f"need {bound}, got l={self.l}, d={self.d}")
@@ -84,6 +87,14 @@ class CoupledTopology:
         if self.wrap:
             return (d,) * l
         return tuple(min(j, d, l, l + d - j) for j in range(1, l + d))
+
+
+def as_int(x, what: str) -> int:
+    """x as an int: an integral real (4, 4.0, numpy integers) is converted,
+    and anything else (4.5, NaN, a string) is refused, not rounded."""
+    if not (isinstance(x, numbers.Real) and x % 1 == 0):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def build_topology(l: int, d: int) -> CoupledTopology:

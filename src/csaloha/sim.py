@@ -7,14 +7,13 @@ per-trial random streams.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from .core import CoupledTopology, build_topology, pool_map, pool_size, rng_stream
+from .core import CoupledTopology, as_int, build_topology, pool_map, pool_size, rng_stream
 
 
 @dataclass(eq=False)
@@ -32,13 +31,14 @@ class FrameGraph:
     user_type: np.ndarray | None = None
 
     def __post_init__(self):
+        self.n_slots, self.d = as_int(self.n_slots, "n_slots"), as_int(self.d, "d")
         slots = _as_index(self.slots, "slot indices")
         self.slots = slots if slots.size else slots.reshape(0, self.d)
         if self.slots.shape[1:] != (self.d,):
             raise ValueError(f"slots must have shape (n, d={self.d}), got {self.slots.shape}")
         if self.n_slots < 1:
             raise ValueError(f"need at least one slot, got {self.n_slots}")
-        _check_rows(self.slots, [self.n_active], self.n_slots)
+        _check_rows(self.slots, [self.n_active], [0], self.n_slots)
         if self.user_type is not None:
             self.user_type = _as_index(self.user_type, "user types")
             if self.user_type.shape != (self.slots.shape[0],):
@@ -84,6 +84,7 @@ def sample_block_frame(
     """Draw one MAC frame: the active count is Poisson(g*m) (the large-population
     limit) or Binomial(alpha*m, g/alpha) when an explicit population is given;
     each active burst picks d distinct slots uniformly."""
+    m, d = as_int(m, "m"), as_int(d, "d")
     return FrameGraph(n_slots=m, d=d, slots=_draw_block(m, g, d, rng, alpha)[0])
 
 
@@ -113,12 +114,12 @@ def _repeats_a_slot(slots: np.ndarray) -> np.ndarray:
     return clash
 
 
-def _check_rows(rows, n_of, n_slots):
-    """Raise unless every row lists d distinct slots of its own frame f, f*n_slots..(f+1)*n_slots-1."""
+def _check_rows(rows, n_of, lo, n_slots):
+    """Raise unless every row lists d distinct slots of its own frame f, lo[f]..lo[f]+n_slots-1."""
     f = np.flatnonzero(n_of)  # the frames with rows, which start at flat[at]
-    at, flat = (np.cumsum(n_of) - n_of)[f] * rows.shape[1], rows.ravel()
-    lo, hi = (np.minimum.reduceat(flat, at), np.maximum.reduceat(flat, at)) if f.size else (f, f)
-    if (lo < f * n_slots).any() or (hi >= (f + 1) * n_slots).any():
+    at, flat, lo = (np.cumsum(n_of) - n_of)[f] * rows.shape[1], rows.ravel(), np.asarray(lo)[f]
+    low, high = (np.minimum.reduceat(flat, at), np.maximum.reduceat(flat, at)) if f.size else (f, f)
+    if (low < lo).any() or (high >= lo + n_slots).any():
         raise ValueError("slot indices out of range")
     if _repeats_a_slot(rows).any():
         raise ValueError("a burst lists the same slot twice")
@@ -130,6 +131,7 @@ def sample_coupled_frame(
     """Draw one super-frame: type-i bursts place one uniform slot in each of
     frames i..i+d-1 (mod m_f); on the terminated chain the last d-1 frames
     carry only copies. The bursts are sorted by type."""
+    m = as_int(m, "m")
     slots, counts = _draw_coupled(m, topo, g, rng, alpha)
     types = np.repeat(np.arange(1, topo.l + 1), counts)
     return FrameGraph(n_slots=m * topo.m_f, d=topo.d, slots=slots, user_type=types)
@@ -170,12 +172,12 @@ def peel(frame: FrameGraph) -> DecodeReport:
     round. peel_iterations is the number of rounds whose frontier was
     non-empty, including a last round whose slots were all cleared in the
     round before it: a two-burst chain over three slots takes two rounds.
-    The frame is decoded as a batch of one (see _decode)."""
+    The frame is decoded in a lane of its own (see _lanes)."""
     return _report(frame, exact=False)
 
 
 def gje_decode(frame: FrameGraph) -> DecodeReport:
-    """Exact (genie-aided MAP) decoder: peeling plus inactivation (see _decode)."""
+    """Exact (genie-aided MAP) decoder: peeling plus inactivation (see _lanes)."""
     return _report(frame, exact=True)
 
 
@@ -189,21 +191,78 @@ def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
 
 
 def _decode(rows: np.ndarray, n_of, m_of, exact: bool = False):
-    """Peel a batch of frames of one degree d as one disjoint graph, then (if
-    exact) finish each frame that stalls by inactivation decoding.
+    """Decode a batch of frames of one degree d, each in a lane of its own
+    (see _lanes), with no frame to follow them.
 
-    rows is the batch's union: an (n, d) int64 array holding frame f's slot
-    rows after those of frames 0..f-1, each slot id offset by the slot count
-    of those frames. n_of and m_of give each frame's burst and slot counts.
-    _trial_batch writes the union straight into one buffer reused across its
-    batches; peel and gje_decode pass a frame's own slots, at offset 0. The
-    union is only read, never written. Its components are the frames, so
-    each round of the union (see peel) is a round of every frame at once:
-    one set of numpy calls per round serves the whole batch. A frame's
-    peel_iterations is the last round in which its own slots were in the
-    frontier, the count it has when decoded alone. The exact continuation
-    (_inactivate) then runs frame by frame on the residual that the batched
-    peel leaves.
+    rows holds frame f's slot rows after those of frames 0..f-1, each slot id
+    offset by the slot count of those frames; n_of and m_of give each frame's
+    burst and slot counts. rows is only read, never written. Returns
+    (peeled, recovered, rounds, rank, inactivations): boolean masks over the
+    rows' bursts, then one entry per frame. Unless exact, recovered is peeled
+    and rank and inactivations are None.
+    """
+    b_start, s_start = np.cumsum([0, *n_of]), np.cumsum([0, *m_of])
+    frames = (rows[b0:b1] - s0 for b0, b1, s0 in zip(b_start, b_start[1:], s_start))
+    next_frame = partial(next, frames, None)
+    peeled, recovered = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+    rounds, rank, k = np.zeros((3, len(n_of)), dtype=np.int64)
+    for seq, p, ok, peel_rounds, *exact_counts in _lanes(next_frame, len(n_of), max(m_of), exact):
+        rounds[seq] = peel_rounds()
+        if exact:
+            rank[seq], k[seq] = exact_counts
+        for f, p_f, ok_f in zip(seq.tolist(), p, ok):
+            peeled[b_start[f] : b_start[f + 1]] = p_f[: n_of[f]]
+            recovered[b_start[f] : b_start[f + 1]] = ok_f[: n_of[f]]
+    return (peeled, recovered, rounds, rank, k) if exact else (peeled, peeled, rounds, None, None)
+
+
+# Peel rounds between two looks for lanes whose frame has finished. A lane
+# idles for up to this many rounds less one, and a look costs a few numpy
+# calls. Swept on a 2-core host, peeling only (C8: 100 super-frames in three
+# lanes; C7: the five 200-trial block runs at _BATCH_BURSTS = 36,000):
+# seconds at perfbench's reference speed, the median of 8 and of 10
+# in-process runs of every interval in turn in two sittings, and the union
+# rounds per run (9,196 and 716 when every batch of 48,000 bursts ran until
+# its slowest frame was done):
+#
+#   interval   C8 s           C7 s           C8 / C7 rounds
+#          1   0.391 /   -    0.283 /   -    6,725 /   795
+#          2   0.357 /   -    0.263 /   -    6,742 /   821
+#          4   0.368 / 0.372  0.244 / 0.245  6,774 /   870
+#          8   0.356 / 0.361  0.234 / 0.246  6,838 /   989
+#         16   0.343 / 0.355  0.234 / 0.241  6,950 / 1,096
+#         32   0.345 / 0.362  0.236 / 0.232  7,204 / 1,104
+_CHECK_ROUNDS = 16
+
+# Bursts that one piece of a lane fill checks and counts in at once. A piece
+# of several lanes gathers its rows, 24 bytes a burst at d=3: filling three
+# C8 super-frames (~66k bursts) in one piece would lift the traced peak by
+# ~1.6 MB. A lane of its own is read in place.
+_FILL_BURSTS = 24_000
+
+
+def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
+    """Peel a stream of frames of one degree d in n_lanes rolling lanes of
+    one union graph; if exact, finish each frame that stalls by inactivation
+    decoding (_inactivate). next_frame() returns the next frame's (n, d) slot
+    rows, slot ids in 0..n_slots-1, or None after the last; the rows are
+    copied, so the caller need not keep them.
+
+    Lane i holds one frame at a time: slots i*n_slots..(i+1)*n_slots-1 and
+    bursts i*C..i*C+n-1 of the union, where C is the lanes' burst capacity
+    and a burst's id is its row in the union buffer. The lanes are the
+    union's components, so each round (see peel) is a round of every lane's
+    frame at once: one set of numpy calls per round serves all of them.
+    Every _CHECK_ROUNDS rounds, each lane with no slot in the frontier has
+    finished peeling. Those lanes are evicted together: each one's peeled
+    mask is copied and a stalled frame is then finished by _inactivate in
+    place. The next frames of the stream are drawn into the freed lanes,
+    checked as FrameGraph checks a frame, and their degree-1 slots join the
+    frontier. A frame larger than C grows every lane, and the ids of the
+    bursts in flight move with their lane. A frame's peel_iterations is the
+    last round whose frontier held one of its lane's slots, less the round
+    at which it entered: it gets that count, and everything else, as when
+    decoded alone.
 
     A round keeps one copy of a burst that two frontier slots hold, without
     a sort: it writes each candidate's position into pos and keeps those
@@ -214,67 +273,131 @@ def _decode(rows: np.ndarray, n_of, m_of, exact: bool = False):
     holds its burst's id, and one of degree k less than k*n, far inside int64.
     Sums, not XORs: numpy's indexed fast loop covers add.at and subtract.at
     on 1-D indices but not bitwise_xor.at, which costs 2.5-5x as much per
-    scatter of 330-3300 elements. It is filled one column of rows at a time,
-    so no n*d temporary of burst ids exists.
+    scatter of 330-3300 elements.
 
-    last and pos hold values only (a round number, a position within a
-    round), so they are int32, which halves them. Every array used as an
-    index stays intp: numpy casts any other index dtype to intp on each
-    fancy index and ufunc.at call, and int32 union arrays made the C8 run
-    1.2-2.2x slower (ROADMAP item 6).
+    pos holds values only (a position within a round), so it is int32, which
+    halves it. Every array used as an index stays intp: numpy casts any other
+    index dtype to intp on each fancy index and ufunc.at call, and int32
+    union arrays made the C8 run 1.2-2.2x slower (ROADMAP item 6).
 
-    Returns (peeled, recovered, rounds, rank, inactivations): boolean masks
-    over the union's bursts, one int32 round count per frame, then one int64
-    entry per frame. Unless exact, recovered is peeled and rank and
-    inactivations are None.
+    Yields, per look that evicts lanes, (seq, peeled, recovered, peel_rounds)
+    and, if exact, (rank, inactivations): the evicted frames' positions in
+    the stream, (E, C) boolean masks over their lanes' bursts (a frame's n
+    bursts come first; recovered is peeled unless exact), a function that
+    returns their peel_iterations until the stream is resumed, and one int64
+    entry per frame.
     """
-    n, d = rows.shape
-    b_start, s_start = np.cumsum([0, *n_of]), np.cumsum([0, *m_of])
-    m = int(s_start[-1])
-    flat = rows.ravel()
-    deg_v = np.bincount(flat, minlength=m).astype(np.int64, copy=False)
-    acc_v = np.zeros(m, dtype=np.int64)  # sum of unresolved burst ids, below deg_v * n
-    ids = np.arange(n, dtype=np.int64)
-    for j in range(d):
-        np.add.at(acc_v, rows[:, j], ids)
-    del ids  # freed before the rounds, whose temporaries set the peak
-    solved_v = np.zeros(n, dtype=np.uint8)  # 1 once solved or inactivated
-    last = np.zeros(m, dtype=np.int32)  # the last round the slot was in the frontier
+    L, S = n_lanes, n_slots
+    deg_v = np.zeros(L * S, dtype=np.int64)  # each slot's count of unresolved bursts
+    acc_v = np.zeros(L * S, dtype=np.int64)  # and the sum of their ids
+    deg2, acc2 = deg_v.reshape(L, S), acc_v.reshape(L, S)
+    rows, C, d = None, 0, 0
+    solved_v = np.zeros(0, dtype=np.uint8)  # 1 once solved or inactivated
+    pos = np.empty(0, dtype=np.int32)  # a candidate burst's position in its round
+    n, entry, seq = np.zeros((3, L), dtype=np.intp)  # each lane's bursts, entry round, stream position
+    active = np.zeros(L, dtype=bool)
+    live, drawn, r = L, 0, 0
 
-    pos = np.empty(n, dtype=np.int32)  # a candidate burst's position in its round
-    r = 0
-    frontier = (deg_v == 1).nonzero()[0]
-    while frontier.size:
-        r += 1
-        last[frontier] = r
-        b = acc_v[frontier[deg_v[frontier] == 1]]
-        at = np.arange(b.size)
-        pos[b] = at
-        b = b[pos[b] == at]
-        solved_v[b] = 1
-        t = rows.take(b, 0).ravel()
-        before = deg_v[t]
-        np.subtract.at(deg_v, t, 1)
-        np.subtract.at(acc_v, t, b.repeat(d))
-        frontier = t[(before >= 2) & (deg_v[t] <= 1)]
-    rounds = np.maximum.reduceat(last, s_start[:-1])  # every frame has a slot
-    peeled = solved_v.astype(bool)
-    if not exact:
-        return peeled, peeled, rounds, None, None
+    def grow(c):
+        nonlocal rows, solved_v, pos, C
+        grown, solved = np.empty((L * c, d), dtype=np.int64), np.zeros(L * c, dtype=np.uint8)
+        if C:  # move each lane's bursts to its new range, and their ids in its sums with them
+            grown.reshape(L, c, d)[:, :C] = rows.reshape(L, C, d)
+            solved.reshape(L, c)[:, :C] = solved_v.reshape(L, C)
+            acc2[:] += deg2 * (np.arange(L) * (c - C))[:, None]
+        rows, solved_v, pos, C = grown, solved, np.empty(L * c, dtype=np.int32), c
 
-    rank, k = np.array(n_of, dtype=np.int64), np.zeros(len(n_of), dtype=np.int64)
-    recovered = np.ones(n, dtype=bool)
-    for f in np.flatnonzero(np.maximum.reduceat(deg_v, s_start[:-1])):
-        lost, rank[f], k[f] = _inactivate(flat, d, deg_v, acc_v, solved_v, *b_start[f : f + 2].tolist())
-        recovered[lost] = False
-    return peeled, recovered, rounds, rank, k
+    def fill(lanes):
+        nonlocal d, drawn, live
+        pieces, held = [[]], 0  # the new frames' lanes, in pieces of at most _FILL_BURSTS bursts or one lane
+        for i in lanes.tolist():
+            if (slots := next_frame()) is None:
+                break
+            if rows is None or len(slots) > C:
+                d, c = slots.shape[1], max(len(slots), C)
+                grow(c + 8 * math.isqrt(c))  # room for eight standard deviations of a Poisson count
+            np.add(slots, i * S, out=rows[i * C : i * C + len(slots)])
+            n[i] = len(slots)
+            if held and held + len(slots) > _FILL_BURSTS:
+                pieces, held = [*pieces, []], 0
+            pieces[-1].append(i)
+            held += len(slots)
+            del slots  # its rows live in the union now, not through the next draw
+        got = np.array(sum(pieces, []), dtype=np.intp)
+        active[lanes] = False
+        active[got], entry[got], seq[got] = True, r, np.arange(drawn, drawn + got.size)
+        drawn, live = drawn + got.size, live - lanes.size + got.size
+        deg2[got], acc2[got] = 0, 0
+        solved_v.reshape(L, C)[got] = 0
+        new = []
+        for piece in filter(None, pieces):
+            if len(piece) == 1:  # one lane's rows and slots are contiguous: views, not gathers
+                (i,) = piece
+                add(rows[i * C : i * C + n[i]], np.arange(i * C, i * C + n[i]), n[piece], [i * S])
+                new.append(i * S + np.flatnonzero(deg2[i] == 1))
+            else:
+                piece = np.array(piece)
+                n_of = n[piece]
+                ids = np.repeat(piece * C - np.cumsum(n_of) + n_of, n_of) + np.arange(n_of.sum())
+                add(rows.take(ids, 0), ids, n_of, piece * S)
+                f = np.flatnonzero(deg2.take(piece, 0) == 1)  # e*S + s for slot s of the piece's lane e
+                new.append(f + ((piece - np.arange(len(piece))) * S)[f // S])
+        return np.concatenate(new or [got])
+
+    def add(t, ids, n_of, lo):  # check the rows t of bursts ids, n_of[e] of them in lane e, and count them in
+        _check_rows(t, n_of, lo, S)
+        np.add.at(deg_v, t.ravel(), 1)
+        for j in range(d):
+            np.add.at(acc_v, t[:, j], ids)
+
+    def evict(lanes, fronts):
+        def peel_rounds():  # until the stream resumes; a lane busy at the look before is in fronts
+            last = entry.copy()
+            at = np.repeat(np.arange(r - len(fronts) + 1, r + 1), [f.size for f in fronts])
+            np.maximum.at(last, np.concatenate([last[:0], *fronts]) // S, at)
+            return last[lanes] - entry[lanes]
+
+        peeled = solved_v.reshape(L, C)[lanes].view(bool)
+        if not exact:
+            return seq[lanes], peeled, peeled, peel_rounds
+        rank, k = n[lanes].astype(np.int64), np.zeros(len(lanes), dtype=np.int64)
+        recovered = np.ones_like(peeled)
+        for j in np.flatnonzero(deg2[lanes].any(axis=1)).tolist():  # the lanes whose peeling stalled
+            b0, i = int(lanes[j]) * C, int(lanes[j])
+            lost, rank[j], k[j] = _inactivate(rows.ravel(), d, deg_v, acc_v, solved_v, b0, b0 + int(n[i]), i * S, S)
+            recovered[j, np.array(lost, dtype=np.intp) - b0] = False
+        return seq[lanes], peeled, recovered, peel_rounds, rank, k
+
+    frontier = fill(np.arange(L))
+    while live:
+        fronts = []  # the frontier of each round since the last look
+        for _ in range(_CHECK_ROUNDS):
+            if not frontier.size:
+                break
+            r += 1
+            fronts.append(frontier)
+            b = acc_v[frontier[deg_v[frontier] == 1]]
+            at = np.arange(b.size, dtype=np.int32)  # pos's dtype: a cast would cost more than the scatter
+            pos[b] = at
+            b = b[pos[b] == at]
+            solved_v[b] = 1
+            t = rows.take(b, 0).ravel()
+            before = deg_v[t]
+            np.subtract.at(deg_v, t, 1)
+            np.subtract.at(acc_v, t, b.repeat(d))
+            frontier = t[(before >= 2) & (deg_v[t] <= 1)]
+        busy = np.zeros(L, dtype=bool)
+        busy[frontier // S] = True
+        if (done := np.flatnonzero(active > busy)).size:
+            yield evict(done, fronts)
+            frontier = np.concatenate([frontier, fill(done)])
 
 
-def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1) -> tuple[list[int], int, int]:
-    """Inactivation decoding of the frame with bursts b0..b1-1, whose peeling
-    stalled; it updates the union's arrays in place: deg_v holds each slot's
-    count of unresolved bursts and acc_v the sum of their ids (see _decode),
-    so a slot of degree 1 names its burst.
+def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[int], int, int]:
+    """Inactivation decoding of the frame with bursts b0..b1-1 and slots
+    s0..s0+m-1, whose peeling stalled; it updates the union's arrays in
+    place: deg_v holds each slot's count of unresolved bursts and acc_v the
+    sum of their ids (see _lanes), so a slot of degree 1 names its burst.
 
     One loop over a FIFO queue of slots cancels one burst per step: that of
     the next queued slot still of degree 1, which inherits the slot's mask,
@@ -289,7 +412,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1) -> tuple[list[int], int
     # indexing through memoryviews gives plain ints, no numpy scalars
     rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
     left = iter((b0 + np.flatnonzero(solved_v[b0:b1] == 0)).tolist())  # the bursts peeling left, ascending
-    smask: dict[int, int] = {}  # slot -> mask of the x_j in its residual value
+    smask = [0] * m  # slot s0 + i -> mask of the x_j in its residual value
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
     queue: deque[int] = deque()
     k = 0
@@ -298,7 +421,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1) -> tuple[list[int], int
             s = queue.popleft()
             if deg[s] != 1:
                 continue
-            b, v = acc[s], smask.get(s, 0)
+            b, v = acc[s], smask[s - s0]
         else:
             v, k = 1 << k, k + 1
         solved[b] = 1
@@ -306,7 +429,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1) -> tuple[list[int], int
             deg[t] -= 1
             acc[t] -= b
             if v:
-                smask[t] = smask.get(t, 0) ^ v
+                smask[t - s0] ^= v
             if deg[t] == 1:
                 queue.append(t)
         if v:
@@ -315,7 +438,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1) -> tuple[list[int], int
     # a slot that solved a burst ends with mask 0, so the nonzero masks left
     # are the constraints; basis maps each leading bit to one echelon row
     basis: dict[int, int] = {}
-    for v in smask.values():
+    for v in filter(None, smask):
         if v := _reduce(v, basis):
             basis[v.bit_length() - 1] = v
     lost = []
@@ -376,26 +499,28 @@ class SimReport:
         return out
 
 
-# Bursts that _trial_batch collects before it decodes the frames as one
-# graph. Larger batches share each round's numpy calls among more frames but
-# hold more memory. Swept on a 2-core host over C7 (block frames of 190-3000
-# bursts), C8 (super-frames of ~22k) and sim-exact (EX, ~3.6k): seconds, the
-# median of 10 in-process rounds of every budget in turn, in two sittings;
-# ru_maxrss in MB, the median over fresh processes:
+# Slots that _trial_batch's lanes hold at most, unless it takes _MIN_LANES
+# lanes to reach them. A frame's slot count stands in for its burst count:
+# every workload runs near g=1. More lanes share each round's numpy calls
+# among more frames, and more frames finish at each look, but they hold more
+# memory. Swept on a 2-core host at _CHECK_ROUNDS = 16: seconds at
+# perfbench's reference speed, the median of 8 and 10 (C7: the five block
+# runs of 190-3000-burst frames) and of 16 and 20 (EX: sim-exact, frames of
+# 3.6k bursts) in-process runs of every budget in turn, in two sittings; and
+# ru_maxrss in MB, the median of three fresh processes:
 #
-#   budget   C7 s         C8 s         EX s           C7 / C8 / EX MB
-#    2,048   0.55 / 0.55  0.94 / 0.80  0.085 / 0.100  36.0 / 37.8 / 36.0
-#    8,000   0.39 / 0.33  0.81 / 0.88  0.071 / 0.100  36.4 / 37.8 / 36.4
-#   12,000   0.38 / 0.37  0.83 / 0.96  0.070 / 0.107  36.7 / 37.8 / 36.5
-#   16,000   0.34 / 0.37  0.78 / 0.85  0.066 / 0.108  37.4 / 38.0 / 36.8
-#   24,000   0.32 / 0.34  0.74 / 0.68  0.067 / 0.092  38.2 / 38.8 / 37.3
-#   32,000   0.33 / 0.32  0.76 / 0.58  0.067 / 0.079  38.3 / 38.8 / 37.9
-#   48,000   0.38 / 0.37  0.70 / 0.64  0.065 / 0.072  39.5 / 40.8 / 39.2
+#   budget   C7 s           EX s             C7 / EX MB
+#   24,000   0.243 / 0.239  0.048 / 0.047    37.9 / 36.5
+#   36,000   0.231 / 0.238  0.048 / 0.048    38.7 / 36.9
+#   48,000   0.234 / 0.235  0.047 / 0.048    39.1 / 37.5
+#   72,000   0.242 / 0.242  0.045 / 0.043    40.3 / 38.9
 #
-# C8 gains as a batch holds more super-frames: 48,000, the smallest budget
-# that holds three, cuts its peel rounds from 12,125 to 9,196. C7 gains
-# nothing past ~16,000 (24,000 against 48,000: 0.31 against 0.32 s).
-_BATCH_BURSTS = 48_000
+# Batches of 48,000 bursts, each peeled until its slowest frame was done,
+# took 39.2 / 38.4 MB. C8's super-frames (26,000 slots) get _MIN_LANES lanes
+# at every budget: four lanes peel a C8 run ~2 % faster, at 1.1 MB more
+# ru_maxrss.
+_BATCH_BURSTS = 36_000
+_MIN_LANES = 3
 
 
 def _trial_batch(ids, draw, n_slots, exact, seed):
@@ -404,39 +529,40 @@ def _trial_batch(ids, draw, n_slots, exact, seed):
     row 1 those peeling lost, row 2 those the decoder's result lost.
 
     Frame t (n_slots slots) is draw(rng=rng_stream(seed, t)): its rows, sorted by type, and
-    burst counts per type, which sample_*_frame wraps in a FrameGraph. Frames are collected
-    until they hold _BATCH_BURSTS bursts, and each batch is checked and decoded as one disjoint
-    graph (see _count_losses), so the counts do not depend on the batching. The rows go into one
-    union buffer for all batches, doubled up to the budget and then grown only as a batch needs."""
-    counts, held, rows, n = [], [], None, 0
-    for i, t in enumerate(ids, 1):
-        slots, by_type = draw(rng=rng_stream(seed, t))
-        n0, n = n, n + len(slots)
-        if rows is None or n > len(rows):
-            grown = np.empty((max(n, min(2 * n0, _BATCH_BURSTS)), slots.shape[1]), dtype=np.int64)
-            if n0:
-                grown[:n0] = rows[:n0]
-            rows = grown
-        np.add(slots, len(held) * n_slots, out=rows[n0:n])
-        held.append(by_type)
-        del slots  # its rows now live in the union only
-        if n >= _BATCH_BURSTS or i == len(ids):
-            counts.append(_count_losses(rows[:n], np.array(held), n_slots, exact))
-            held, n = [], 0
-    return np.concatenate(counts)
+    burst counts per type, which sample_*_frame wraps in a FrameGraph. The frames are drawn in
+    order into the rolling lanes of one union graph (see _lanes and _BATCH_BURSTS), and each
+    evicted frame's losses are counted from its own lane, so the counts do not depend on the
+    lanes."""
+    gens, trials = [], iter(ids)
+
+    def next_frame():  # a generator would hold its last frame until the next
+        if (t := next(trials, None)) is not None:
+            slots, by_type = draw(rng=rng_stream(seed, t))
+            gens.append(by_type)
+            return slots
+
+    lanes = min(len(ids), max(_MIN_LANES, _BATCH_BURSTS // n_slots))
+    seqs, counts = [], []
+    for seq, peeled, recovered, *_ in _lanes(next_frame, lanes, n_slots, exact):
+        seqs.append(seq)
+        counts.append(_count_losses(np.array([gens[f] for f in seq.tolist()]), peeled, recovered))
+    return np.concatenate(counts)[np.argsort(np.concatenate(seqs))]
 
 
-def _count_losses(rows, gen, n_slots, exact):
-    """One batch of _trial_batch: frame f's rows, slot ids offset by f*n_slots, and gen[f], its
-    burst count per type. The batch is checked once, as FrameGraph checks a frame. A frame's rows
-    are sorted by type, so the union is cut into runs of gen.ravel() rows, one per (frame, type),
-    and each run counts the lost bursts inside it."""
-    n_of = gen.sum(axis=1)
-    _check_rows(rows, n_of, n_slots)
-    peeled, recovered, *_ = _decode(rows, n_of, [n_slots] * len(gen), exact)
-    ends = np.cumsum(gen)  # each run's end
-    lost = [np.diff(np.searchsorted(np.flatnonzero(~ok), ends), prepend=0) for ok in (peeled, recovered)]
-    return np.stack([gen, *(c.reshape(gen.shape) for c in lost)], axis=1)
+def _count_losses(gen, peeled, recovered):
+    """(E, 3, n_types) counts of E evicted frames: gen[e] is frame e's burst count per type, and
+    its bursts, sorted by type, lead row e of the (E, C) masks. So each row is cut into runs of
+    gen[e] bursts, one per type, and each run counts the bursts a mask leaves out."""
+    out = np.empty((len(gen), 3, gen.shape[1] + 1), dtype=np.int64)
+    edges = out[:, 0]  # each row's start, then its runs' ends, in the flattened masks
+    edges[:, 0] = 0
+    np.cumsum(gen, axis=1, out=edges[:, 1:])
+    edges += (peeled.shape[1] * np.arange(len(gen)))[:, None]
+    out[:, 1] = np.searchsorted(np.flatnonzero(~peeled), edges)
+    out[:, 2] = out[:, 1] if recovered is peeled else np.searchsorted(np.flatnonzero(~recovered), edges)
+    out[:, 1:, 1:] -= out[:, 1:, :-1].copy()
+    out[:, 0, 1:] = gen
+    return out[:, :, 1:]
 
 
 def _ratio_ci95(lost, gen):
@@ -473,10 +599,8 @@ def run_trials(
         raise ValueError(f"scenario must be 'block' or 'coupled', got {scenario!r}")
     if decoder not in ("peeling", "gje", "both"):
         raise ValueError(f"decoder must be peeling|gje|both, got {decoder!r}")
-    for what, x in dict(m=m, d=d, trials=trials, seed=seed, l=l).items():
-        if not (x is None or isinstance(x, numbers.Real) and x % 1 == 0):  # refused, not rounded
-            raise ValueError(f"{what} must be an integer, got {x!r}")
-    m, d, trials, seed, l = (x if x is None else int(x) for x in (m, d, trials, seed, l))
+    m, d, trials, seed = as_int(m, "m"), as_int(d, "d"), as_int(trials, "trials"), as_int(seed, "seed")
+    l = l if l is None else as_int(l, "l")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if (l is None) != (scenario == "block"):

@@ -87,6 +87,16 @@ def test_build_topology_rejects(l, d, wrap):
         (build_circulant_topology if wrap else build_topology)(l, d)
 
 
+def test_topology_refuses_non_integral_sizes():
+    # build_topology(4.5, 3) used to build a topology whose delta raised
+    # TypeError; an integral float is taken as the integer it names
+    for l, d in ((4.5, 3), (4, 2.5), (math.nan, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_topology(l, d)
+    assert build_topology(4.0, np.int64(3)) == CoupledTopology(4, 3)
+    assert build_topology(4.0, 3).delta == (1, 2, 3, 3, 2, 1)
+
+
 def test_circulant_topology():
     t = build_circulant_topology(10, 3)
     assert (t.m_f, t.delta) == occupancy_counts(10, 3, wrap=True)

@@ -128,6 +128,33 @@ def test_sample_block_frame_rejects():
         sample_block_frame(10, 20.0, 3, rng, alpha=10.0)  # epsilon > 1
 
 
+def test_sample_block_frame_refuses_a_non_integral_size():
+    # it used to return a frame with n_slots=100.5 whose slots came from 0..99
+    rng = rng_stream(0, 0)
+    for m, d in ((100.5, 3), (100, 2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_block_frame(m, 0.5, d, rng)
+    assert sample_block_frame(100.0, 0.5, 3.0, rng).n_slots == 100
+
+
+def test_frame_graph_refuses_non_integral_sizes():
+    # FrameGraph(n_slots=4.5, ...) used to build and count slot 4 as in range
+    with pytest.raises(ValueError, match="n_slots must be an integer"):
+        FrameGraph(n_slots=4.5, d=2, slots=[[0, 4]])
+    with pytest.raises(ValueError, match="d must be an integer"):
+        FrameGraph(n_slots=5, d=2.5, slots=[[0, 4]])
+    f = FrameGraph(n_slots=5.0, d=2.0, slots=[[0, 4]])
+    assert (f.n_slots, f.d) == (5, 2) and type(f.n_slots) is type(f.d) is int
+
+
+def test_sample_coupled_frame_refuses_a_non_integral_size():
+    # it used to die in numpy's UFuncTypeError
+    with pytest.raises(ValueError, match="m must be an integer"):
+        sample_coupled_frame(10.5, build_topology(4, 3), 0.5, rng_stream(0, 0))
+    f = sample_coupled_frame(10.0, build_topology(4, 3), 0.5, rng_stream(0, 0))
+    assert f.n_slots == 60 and f.slots.dtype == np.int64
+
+
 @pytest.mark.parametrize("alpha", [None, 10.0])
 @pytest.mark.parametrize("g", [math.nan, math.inf])
 def test_samplers_reject_non_finite_load(g, alpha):
@@ -150,15 +177,16 @@ def test_one_vector_count_draw_equals_scalar_draws(m, alpha):
     assert one.integers(0, 2**62, 8).tolist() == each.integers(0, 2**62, 8).tolist()
 
 
-def _spy_batches(monkeypatch):
-    """Record the (rows, gen) of every batch _trial_batch decodes."""
-    seen, count = [], sim._count_losses
+def _spy_fills(monkeypatch):
+    """Record each lane fill's frames as the decoder receives them: their
+    rows, with each frame's lane offset taken off again."""
+    seen, check = [], sim._check_rows
 
-    def spy(rows, gen, n_slots, exact):
-        seen.append((rows.copy(), gen.copy()))
-        return count(rows, gen, n_slots, exact)
+    def spy(rows, n_of, lo, n_slots):
+        seen.append(rows - np.repeat(lo, n_of)[:, None])
+        return check(rows, n_of, lo, n_slots)
 
-    monkeypatch.setattr(sim, "_count_losses", spy)
+    monkeypatch.setattr(sim, "_check_rows", spy)
     return seen
 
 
@@ -179,15 +207,12 @@ def test_batched_block_draws_are_the_sampled_frames(monkeypatch, alpha):
         while (clash := (np.diff(np.sort(slots, axis=1), axis=1) == 0).any(axis=1)).any():
             slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d))
         assert np.array_equal(f.slots, slots)
-    monkeypatch.setattr(sim, "_BATCH_BURSTS", 40)
-    seen = _spy_batches(monkeypatch)
-    sim._trial_batch(range(trials), partial(sim._draw_block, m, g, d, alpha=alpha), m, False, seed)
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 12)  # four lanes of three slots
+    seen = _spy_fills(monkeypatch)
+    counts = sim._trial_batch(range(trials), partial(sim._draw_block, m, g, d, alpha=alpha), m, False, seed)
     assert len(seen) > 1
-    assert np.array_equal(
-        np.concatenate([r - m * np.arange(len(c)).repeat(c.sum(1))[:, None] for r, c in seen]),
-        np.concatenate([f.slots for f in frames]),
-    )
-    assert np.concatenate([c for _, c in seen]).ravel().tolist() == [f.n_active for f in frames]
+    assert np.array_equal(np.concatenate(seen), np.concatenate([f.slots for f in frames]))
+    assert counts[:, 0].ravel().tolist() == [f.n_active for f in frames]
 
 
 @pytest.mark.parametrize("alpha", [None, 2.0])
@@ -202,16 +227,13 @@ def test_batched_coupled_draws_are_the_sampled_frames(monkeypatch, topo, alpha):
     frames = [sample_coupled_frame(m, topo, g, rng_stream(seed, t), alpha=alpha) for t in range(trials)]
     assert all((np.diff(f.user_type) >= 0).all() for f in frames)
     monkeypatch.setattr(sim, "_BATCH_BURSTS", 100)
-    seen = _spy_batches(monkeypatch)
+    seen = _spy_fills(monkeypatch)
     n_slots = m * topo.m_f
-    sim._trial_batch(range(trials), partial(sim._draw_coupled, m, topo, g, alpha=alpha), n_slots, False, seed)
+    counts = sim._trial_batch(range(trials), partial(sim._draw_coupled, m, topo, g, alpha=alpha), n_slots, False, seed)
     assert len(seen) > 1
-    assert np.array_equal(
-        np.concatenate([r - n_slots * np.arange(len(c)).repeat(c.sum(1))[:, None] for r, c in seen]),
-        np.concatenate([f.slots for f in frames]),
-    )
+    assert np.array_equal(np.concatenate(seen), np.concatenate([f.slots for f in frames]))
     want = [np.bincount(f.user_type, minlength=topo.l + 1)[1:] for f in frames]
-    assert np.array_equal(np.concatenate([c for _, c in seen]), np.array(want))
+    assert np.array_equal(counts[:, 0], np.array(want))
 
 
 def test_sample_coupled_frame_structure():
@@ -477,6 +499,70 @@ def test_batched_decoding_matches_frame_by_frame():
         want = [alone[frames.index(f)] for f in batch]  # frames compare by identity
         assert _batch_views(batch, exact=True) == want
         assert _batch_views(batch, exact=False) == [(p, p, r, None, None) for _, p, r, _, _ in want]
+
+
+def _lane_views(frames, lanes, n_slots):
+    """Per frame (recovered, peeled, peel_iterations, gje_rank, inactivations)
+    from peeling the frames exactly in `lanes` rolling lanes, and the look at
+    which each frame left its lane."""
+    held = iter([f.slots for f in frames])
+    out, left = {}, {}
+    for look, (seq, peeled, recovered, peel_rounds, rank, k) in enumerate(
+        sim._lanes(lambda: next(held, None), lanes, n_slots, True)
+    ):
+        for j, (f, rounds) in enumerate(zip(seq.tolist(), peel_rounds())):
+            as_set = lambda mask: frozenset(np.flatnonzero(mask[j, : frames[f].n_active]).tolist())  # noqa: E731
+            out[f], left[f] = (as_set(recovered), as_set(peeled), int(rounds), int(rank[j]), int(k[j])), look
+    return [out[f] for f in range(len(frames))], left
+
+
+def test_rolling_lanes_match_each_frame_decoded_alone(monkeypatch):
+    # frames leave their lanes as they finish and the next frames take their
+    # place; each gets what it gets alone, at any lane count
+    empty = FrameGraph(n_slots=7, d=3, slots=np.zeros((0, 3), dtype=np.int64))
+    stuck = FrameGraph(n_slots=4, d=3, slots=np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]))
+    wave = sample_coupled_frame(100, build_topology(40, 3), 0.88, rng_stream(1, 2))
+    big = sample_coupled_frame(150, build_topology(40, 3), 0.88, rng_stream(2, 0))
+    frames = [
+        empty,
+        empty,
+        stuck,  # no slot of degree 1: its first frontier is empty
+        wave,  # peels for many rounds, while stuck is finished exactly
+        sample_block_frame(300, 1.0, 3, rng_stream(1, 1)),  # stalls
+        big,  # more bursts than the lanes hold: they grow under the wave
+        sample_block_frame(300, 0.5, 3, rng_stream(1, 0)),  # peels in full
+        sample_block_frame(250, 0.75, 3, rng_stream(75, 0)),
+        empty,
+    ]
+    assert big.n_active > 17 / 16 * max(f.n_active for f in frames[:5])
+    alone = [(g.recovered, g.peeled, g.peel_iterations, g.gje_rank, g.inactivations) for g in map(gje_decode, frames)]
+    assert alone[2][2] == 0 and alone[2][4] > 0 and alone[3][2] > 2 * sim._CHECK_ROUNDS
+    n_slots = max(f.n_slots for f in frames)
+    for lanes in (1, 2, 3, len(frames)):
+        views, left = _lane_views(frames, lanes, n_slots)
+        assert views == alone
+        if lanes in (2, 3):
+            assert left[2] < left[3]  # stuck was finished exactly while wave still peeled
+        monkeypatch.setattr(sim, "_MIN_LANES", lanes)
+        monkeypatch.setattr(sim, "_BATCH_BURSTS", 0)
+        held = iter([(f.slots, np.array([f.n_active])) for f in frames])
+        counts = sim._trial_batch(range(len(frames)), lambda rng: next(held), n_slots, True, 0)
+        want = [[[f.n_active], [f.n_active - len(a[1])], [f.n_active - len(a[0])]] for f, a in zip(frames, alone)]
+        assert counts.tolist() == want
+
+
+def test_a_fill_counts_its_frames_in_pieces(monkeypatch):
+    # a piece of several lanes is gathered at once, so a fill splits its new
+    # frames into pieces of at most _FILL_BURSTS bursts, or of one frame
+    frames = [sample_block_frame(60, g, 3, rng_stream(9, t)) for t, g in enumerate([0.9] * 11 + [2.5])]
+    held = iter([(f.slots, np.array([f.n_active])) for f in frames])
+    pieces, check = [], sim._check_rows
+    monkeypatch.setattr(sim, "_check_rows", lambda rows, n_of, *a: pieces.append(list(n_of)) or check(rows, n_of, *a))
+    monkeypatch.setattr(sim, "_FILL_BURSTS", 100)
+    monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
+    sim._trial_batch(range(len(frames)), lambda rng: next(held), 60, False, 0)
+    assert sum(pieces, []) == [f.n_active for f in frames] and frames[-1].n_active > 100
+    assert len(pieces) > 3 and all(sum(p) <= 100 or len(p) == 1 for p in pieces)
 
 
 def test_slot_id_sums_decode_crowded_slots():
