@@ -34,7 +34,7 @@ from .analysis import (
     map_load_bound,
     solve_load_bound,
 )
-from .core import SchemeParams, pool_map
+from .core import SchemeParams, build_topology, pool_map
 from .sim import run_trials
 
 _THRESH_COLS = ["d", "g_it_block", "g_it_coupled", "g_map_bound", "g_star", "efficiency"]
@@ -68,8 +68,8 @@ def _row(task) -> dict:
 
 
 def _table(args, cols, ds, alpha) -> int:
-    # SchemeParams checks alpha and d*alpha for every row before the long DE runs
-    tasks = [(d, args.l, SchemeParams(d, alpha), args.tol, args.max_iters) for d in ds]
+    # SchemeParams checks alpha and d*alpha, and the chain's topology l, for every row before the long DE runs
+    tasks = [(d, build_topology(args.l, d).l, SchemeParams(d, alpha), args.tol, args.max_iters) for d in ds]
     rows = pool_map(_row, tasks, _workers())
     _write(_emit_table(cols, rows, args), args.out)
     return 0

@@ -32,12 +32,12 @@ class FrameGraph:
 
     def __post_init__(self):
         self.n_slots, self.d = as_int(self.n_slots, "n_slots"), as_int(self.d, "d")
+        if self.n_slots < 1 or self.d < 1:
+            raise ValueError(f"need at least one slot and d >= 1, got n_slots={self.n_slots}, d={self.d}")
         slots = _as_index(self.slots, "slot indices")
         self.slots = slots if slots.size else slots.reshape(0, self.d)
         if self.slots.shape[1:] != (self.d,):
             raise ValueError(f"slots must have shape (n, d={self.d}), got {self.slots.shape}")
-        if self.n_slots < 1:
-            raise ValueError(f"need at least one slot, got {self.n_slots}")
         _check_rows(self.slots, [self.n_active], [0], self.n_slots)
         if self.user_type is not None:
             self.user_type = _as_index(self.user_type, "user types")
@@ -182,38 +182,13 @@ def gje_decode(frame: FrameGraph) -> DecodeReport:
 
 
 def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
-    peeled, recovered, rounds, rank, k = _decode(frame.slots, [frame.n_active], [frame.n_slots], exact)
-    peeled_set = frozenset(np.flatnonzero(peeled).tolist())
+    lanes = _lanes(partial(next, iter([frame.slots]), None), 1, frame.n_slots, exact)
+    _, peeled, recovered, peel_rounds, rank, k = next(lanes)
+    peeled_set = frozenset(np.flatnonzero(peeled[0, : frame.n_active]).tolist())
     if not exact:
-        return DecodeReport(peeled_set, peeled_set, int(rounds[0]))
-    recovered_set = frozenset(np.flatnonzero(recovered).tolist())
-    return DecodeReport(recovered_set, peeled_set, int(rounds[0]), int(rank[0]), int(k[0]))
-
-
-def _decode(rows: np.ndarray, n_of, m_of, exact: bool = False):
-    """Decode a batch of frames of one degree d, each in a lane of its own
-    (see _lanes), with no frame to follow them.
-
-    rows holds frame f's slot rows after those of frames 0..f-1, each slot id
-    offset by the slot count of those frames; n_of and m_of give each frame's
-    burst and slot counts. rows is only read, never written. Returns
-    (peeled, recovered, rounds, rank, inactivations): boolean masks over the
-    rows' bursts, then one entry per frame. Unless exact, recovered is peeled
-    and rank and inactivations are None.
-    """
-    b_start, s_start = np.cumsum([0, *n_of]), np.cumsum([0, *m_of])
-    frames = (rows[b0:b1] - s0 for b0, b1, s0 in zip(b_start, b_start[1:], s_start))
-    next_frame = partial(next, frames, None)
-    peeled, recovered = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-    rounds, rank, k = np.zeros((3, len(n_of)), dtype=np.int64)
-    for seq, p, ok, peel_rounds, *exact_counts in _lanes(next_frame, len(n_of), max(m_of), exact):
-        rounds[seq] = peel_rounds()
-        if exact:
-            rank[seq], k[seq] = exact_counts
-        for f, p_f, ok_f in zip(seq.tolist(), p, ok):
-            peeled[b_start[f] : b_start[f + 1]] = p_f[: n_of[f]]
-            recovered[b_start[f] : b_start[f + 1]] = ok_f[: n_of[f]]
-    return (peeled, recovered, rounds, rank, k) if exact else (peeled, peeled, rounds, None, None)
+        return DecodeReport(peeled_set, peeled_set, int(peel_rounds()[0]))
+    recovered_set = frozenset(np.flatnonzero(recovered[0, : frame.n_active]).tolist())
+    return DecodeReport(recovered_set, peeled_set, int(peel_rounds()[0]), int(rank[0]), int(k[0]))
 
 
 # Peel rounds between two looks for lanes whose frame has finished. A lane
@@ -278,14 +253,15 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     pos holds values only (a position within a round), so it is int32, which
     halves it. Every array used as an index stays intp: numpy casts any other
     index dtype to intp on each fancy index and ufunc.at call, and int32
-    union arrays made the C8 run 1.2-2.2x slower (ROADMAP item 6).
+    union arrays made the C8 run 1.2-2.2x slower (ROADMAP, "Measured and set
+    aside").
 
-    Yields, per look that evicts lanes, (seq, peeled, recovered, peel_rounds)
-    and, if exact, (rank, inactivations): the evicted frames' positions in
-    the stream, (E, C) boolean masks over their lanes' bursts (a frame's n
-    bursts come first; recovered is peeled unless exact), a function that
-    returns their peel_iterations until the stream is resumed, and one int64
-    entry per frame.
+    Yields, per look that evicts lanes, (seq, peeled, recovered, peel_rounds,
+    rank, inactivations): the evicted frames' positions in the stream, (E, C)
+    boolean masks over their lanes' bursts (a frame's n bursts come first;
+    recovered is peeled unless exact), a function that returns their
+    peel_iterations until the stream is resumed, and one int64 entry per
+    frame, or None unless exact.
     """
     L, S = n_lanes, n_slots
     deg_v = np.zeros(L * S, dtype=np.int64)  # each slot's count of unresolved bursts
@@ -296,7 +272,7 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     pos = np.empty(0, dtype=np.int32)  # a candidate burst's position in its round
     n, entry, seq = np.zeros((3, L), dtype=np.intp)  # each lane's bursts, entry round, stream position
     active = np.zeros(L, dtype=bool)
-    live, drawn, r = L, 0, 0
+    drawn, r = 0, 0
 
     def grow(c):
         nonlocal rows, solved_v, pos, C
@@ -308,7 +284,7 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
         rows, solved_v, pos, C = grown, solved, np.empty(L * c, dtype=np.int32), c
 
     def fill(lanes):
-        nonlocal d, drawn, live
+        nonlocal d, drawn
         pieces, held = [[]], 0  # the new frames' lanes, in pieces of at most _FILL_BURSTS bursts or one lane
         for i in lanes.tolist():
             if (slots := next_frame()) is None:
@@ -323,26 +299,25 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
             pieces[-1].append(i)
             held += len(slots)
             del slots  # its rows live in the union now, not through the next draw
-        got = np.array(sum(pieces, []), dtype=np.intp)
+        got = lanes[: sum(map(len, pieces))]  # the lanes that drew a frame
         active[lanes] = False
         active[got], entry[got], seq[got] = True, r, np.arange(drawn, drawn + got.size)
-        drawn, live = drawn + got.size, live - lanes.size + got.size
+        drawn += got.size
         deg2[got], acc2[got] = 0, 0
         solved_v.reshape(L, C)[got] = 0
-        new = []
         for piece in filter(None, pieces):
             if len(piece) == 1:  # one lane's rows and slots are contiguous: views, not gathers
                 (i,) = piece
                 add(rows[i * C : i * C + n[i]], np.arange(i * C, i * C + n[i]), n[piece], [i * S])
-                new.append(i * S + np.flatnonzero(deg2[i] == 1))
             else:
                 piece = np.array(piece)
                 n_of = n[piece]
                 ids = np.repeat(piece * C - np.cumsum(n_of) + n_of, n_of) + np.arange(n_of.sum())
                 add(rows.take(ids, 0), ids, n_of, piece * S)
-                f = np.flatnonzero(deg2.take(piece, 0) == 1)  # e*S + s for slot s of the piece's lane e
-                new.append(f + ((piece - np.arange(len(piece))) * S)[f // S])
-        return np.concatenate(new or [got])
+        # e*S + s for slot s of lane got[e]; a gather of bools: one of the int64 degrees
+        # raised sim-coupled's peak RSS by ~0.2 MB
+        f = np.flatnonzero((deg2 == 1)[got])
+        return f + ((got - np.arange(got.size)) * S)[f // S]
 
     def add(t, ids, n_of, lo):  # check the rows t of bursts ids, n_of[e] of them in lane e, and count them in
         _check_rows(t, n_of, lo, S)
@@ -359,7 +334,7 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
 
         peeled = solved_v.reshape(L, C)[lanes].view(bool)
         if not exact:
-            return seq[lanes], peeled, peeled, peel_rounds
+            return seq[lanes], peeled, peeled, peel_rounds, None, None
         rank, k = n[lanes].astype(np.int64), np.zeros(len(lanes), dtype=np.int64)
         recovered = np.ones_like(peeled)
         for j in np.flatnonzero(deg2[lanes].any(axis=1)).tolist():  # the lanes whose peeling stalled
@@ -369,7 +344,7 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
         return seq[lanes], peeled, recovered, peel_rounds, rank, k
 
     frontier = fill(np.arange(L))
-    while live:
+    while active.any():
         fronts = []  # the frontier of each round since the last look
         for _ in range(_CHECK_ROUNDS):
             if not frontier.size:
@@ -575,7 +550,7 @@ def _ratio_ci95(lost, gen):
         return ratio, 0.0
     resid = lost - ratio * gen
     var = float((resid**2).sum()) / (t - 1)
-    return ratio, 1.96 * np.sqrt(var * t) / total
+    return ratio, 1.96 * math.sqrt(var * t) / total
 
 
 def run_trials(

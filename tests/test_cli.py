@@ -113,15 +113,18 @@ def test_infinite_alpha_is_a_parameter_error(capsys, command):
         ["simulate", "block", "--d", "3", "--g", "0.5", "--slots", "2000", "--trials", "1", "--alpha", "1e308"],
         ["thresholds", "--d-max", "2", "--alpha", "1e308", "--l", "10"],
         ["thresholds", "--d-max", "6", "--alpha", "2e307", "--l", "10"],
+        ["thresholds", "--d-max", "3", "--l", "0"],
+        ["sweep", "--d-list", "2,3", "--l", "-3"],
     ],
-    ids=["population", "population-inf", "map-bound", "map-bound-d5"],
+    ids=["population", "population-inf", "map-bound", "map-bound-d5", "chain-length", "chain-length-sweep"],
 )
 def test_huge_alpha_is_a_parameter_error(capsys, monkeypatch, command):
     # a binomial population alpha*m past int64 overflowed in numpy, and a
     # d*alpha past 2**1023 made map_load_bound return inf; at 2e307 only the
-    # rows d=5 and d=6 overflow, and they are refused before any row's DE runs
+    # rows d=5 and d=6 overflow, and they are refused before any row's DE runs.
+    # A chain length below 1 is refused there too, not after d=2's block bisection
     def fail(*args, **kwargs):
-        raise AssertionError("a row ran before alpha was checked")
+        raise AssertionError("a row ran before its parameters were checked")
 
     monkeypatch.setattr(cli, "_row", fail)
     rc, out, err = run_cli(capsys, *command)

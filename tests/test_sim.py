@@ -43,6 +43,11 @@ def test_frame_graph_validation():
         FrameGraph(n_slots=4, d=2, slots=np.array([[0, 1]]), user_type=np.array([1, 2]))
     with pytest.raises(ValueError):
         FrameGraph(n_slots=0, d=1, slots=np.zeros((0, 1)))
+    # a degree below 1 is refused: d=0 would drop its three bursts, and d=-1
+    # would reach numpy's reshape
+    for d, slots in ((0, np.zeros((3, 0))), (-1, np.zeros((0, 1)))):
+        with pytest.raises(ValueError, match="d >= 1"):
+            FrameGraph(n_slots=5, d=d, slots=slots)
     # a non-integral index is refused, not truncated to [[0, 1]]
     with pytest.raises(ValueError, match="slot indices must be integers"):
         FrameGraph(n_slots=3, d=2, slots=[[0.7, 1.9]])
@@ -457,20 +462,21 @@ def test_gje_rank_deficient_matches_dense_oracle():
     assert deficient >= 8
 
 
-def _batch_views(frames, exact):
+def _lane_views(frames, lanes, n_slots, exact=True):
     """Per frame (recovered, peeled, peel_iterations, gje_rank, inactivations)
-    from decoding the frames as one batch, as sets and ints."""
-    peeled, recovered, rounds, rank, k = sim._decode(
-        np.concatenate([f.slots + s for f, s in zip(frames, np.cumsum([0] + [f.n_slots for f in frames]))]),
-        [f.n_active for f in frames], [f.n_slots for f in frames], exact,
-    )
-    start = np.cumsum([0] + [f.n_active for f in frames])
-    out = []
-    for i, (lo, hi) in enumerate(zip(start, start[1:])):
-        as_set = lambda mask: frozenset(np.flatnonzero(mask[lo:hi]).tolist())  # noqa: E731
-        extra = (int(rank[i]), int(k[i])) if exact else (None, None)
-        out.append((as_set(recovered), as_set(peeled), int(rounds[i]), *extra))
-    return out
+    from peeling the frames, and finishing them exactly if exact, in `lanes`
+    rolling lanes of n_slots slots, as sets and ints; and the look at which
+    each frame left its lane."""
+    held = iter([f.slots for f in frames])
+    out, left = {}, {}
+    for look, (seq, peeled, recovered, peel_rounds, rank, k) in enumerate(
+        sim._lanes(lambda: next(held, None), lanes, n_slots, exact)
+    ):
+        for j, (f, rounds) in enumerate(zip(seq.tolist(), peel_rounds())):
+            as_set = lambda mask: frozenset(np.flatnonzero(mask[j, : frames[f].n_active]).tolist())  # noqa: E731
+            extra = (int(rank[j]), int(k[j])) if exact else (None, None)
+            out[f], left[f] = (as_set(recovered), as_set(peeled), int(rounds), *extra), look
+    return [out[f] for f in range(len(frames))], left
 
 
 def test_batched_decoding_matches_frame_by_frame():
@@ -497,23 +503,10 @@ def test_batched_decoding_matches_frame_by_frame():
     order = [4, 0, 2, 9, 6, 1, 8, 3, 7, 5]
     for batch in (frames, frames[::-1], [frames[i] for i in order], frames[3:5]):
         want = [alone[frames.index(f)] for f in batch]  # frames compare by identity
-        assert _batch_views(batch, exact=True) == want
-        assert _batch_views(batch, exact=False) == [(p, p, r, None, None) for _, p, r, _, _ in want]
-
-
-def _lane_views(frames, lanes, n_slots):
-    """Per frame (recovered, peeled, peel_iterations, gje_rank, inactivations)
-    from peeling the frames exactly in `lanes` rolling lanes, and the look at
-    which each frame left its lane."""
-    held = iter([f.slots for f in frames])
-    out, left = {}, {}
-    for look, (seq, peeled, recovered, peel_rounds, rank, k) in enumerate(
-        sim._lanes(lambda: next(held, None), lanes, n_slots, True)
-    ):
-        for j, (f, rounds) in enumerate(zip(seq.tolist(), peel_rounds())):
-            as_set = lambda mask: frozenset(np.flatnonzero(mask[j, : frames[f].n_active]).tolist())  # noqa: E731
-            out[f], left[f] = (as_set(recovered), as_set(peeled), int(rounds), int(rank[j]), int(k[j])), look
-    return [out[f] for f in range(len(frames))], left
+        n_slots = max(f.n_slots for f in batch)
+        assert _lane_views(batch, len(batch), n_slots)[0] == want
+        peeled_only = [(p, p, r, None, None) for _, p, r, _, _ in want]
+        assert _lane_views(batch, len(batch), n_slots, exact=False)[0] == peeled_only
 
 
 def test_rolling_lanes_match_each_frame_decoded_alone(monkeypatch):
@@ -571,7 +564,7 @@ def test_slot_id_sums_decode_crowded_slots():
     # 40 slots at high load put up to 27 bursts in one slot
     frames = [sample_block_frame(40, g, 8, rng_stream(7, t)) for g in (0.6, 1.2, 2.0) for t in range(20)]
     assert max(np.bincount(f.slots.ravel()).max() for f in frames) >= 20
-    views = _batch_views(frames, exact=True)
+    views = _lane_views(frames, len(frames), 40)[0]
     assert any(v[1] for v in views) and any(v[0] != v[1] for v in views)
     for f, (recovered, peeled, *_) in zip(frames, views):
         assert peeled == naive_peel(f) == peel(f).recovered
@@ -752,6 +745,7 @@ def test_run_trials_deterministic_and_worker_invariant():
     b = run_trials("block", **kw)
     c = run_trials("block", workers=3, **kw)
     assert a == b == c
+    assert type(a.ci95) is type(a.gje_ci95) is float  # like the other fields, not np.float64
 
 
 def test_run_trials_coupled_exact_worker_invariant():
