@@ -719,6 +719,39 @@ def test_gje_inactivation_counts_pinned():
     )
 
 
+def _exact_digest(frames):
+    rows = [(sorted(r.recovered), r.gje_rank, r.inactivations) for r in map(gje_decode, frames)]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_exact_decoding_pinned():
+    # sha256 of the (sorted(recovered), gje_rank, inactivations) list of each
+    # group, taken while the exact pass indexed the union's arrays through
+    # memoryviews: the frames of the k pins above
+    topo = build_topology(20, 3)
+    exact = [sample_coupled_frame(200, topo, 0.9, rng_stream(20, t)) for t in range(20)]
+    block = [sample_block_frame(2000, g, 3, rng_stream(500, t)) for g in (0.9, 0.95) for t in range(10)]
+    assert _exact_digest(exact) == "a92b292f880fbc428b8d5fcd19dc2767930d8227d8160738a45e6c19333e697f"
+    assert _exact_digest(block) == "58d42fd646c9daa9ffb41ea9702848a66ef92323f9fcbe6027e26b82c2a220a7"
+
+
+def test_exact_pass_in_the_last_lane_matches_the_dense_oracle():
+    # the exact pass reads a stalled frame at its lane's slot offset, over the
+    # slots its residual holds: each frame here is decoded in the last of
+    # three lanes, and most residuals hold the frame's first and last slot
+    m, empty = 300, FrameGraph(n_slots=300, d=3, slots=np.zeros((0, 3), dtype=np.int64))
+    frames = [sample_block_frame(m, 0.95, 3, rng_stream(61, t)) for t in range(12)]
+    ends, deficient = 0, 0
+    for f in frames:
+        left = f.slots[sorted(set(range(f.n_active)) - peel(f).recovered)]
+        ends += left.min() == 0 and left.max() == m - 1
+        (recovered, _, _, rank, k), = _lane_views([empty, empty, f], 3, m)[0][2:]
+        assert (recovered, rank) == dense_gje_decode(f)
+        assert k == gje_decode(f).inactivations > 0
+        deficient += rank < f.n_active
+    assert ends >= 5 and 0 < deficient < len(frames)
+
+
 def test_block_slot_degrees_are_poisson():
     # slot-degree histogram at m=10^4 vs Poisson(g*d), chi-square with known
     # mean; 26.12 is the 99.9% point at 8 degrees of freedom
