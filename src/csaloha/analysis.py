@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoupledTopology, LoadPoint, SchemeParams, build_topology
+from .core import CoupledTopology, LoadPoint, SchemeParams, as_int, build_topology
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,13 @@ class BlockDeConfig:
     threshold a run that would still converge can so count as a failure:
     at d=3, l=200 three coupled probes hit the 1e5 cap, and the coupled
     threshold lands 3.2e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 2).
+    An integral float cap is taken as its integer (core.as_int).
     """
 
     max_iters: int = 100_000
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -179,7 +181,7 @@ def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, flo
 def threshold(d: int, converges, tol: float) -> ThresholdResult:
     """The threshold of a degree-d scheme: the largest load G in [0, 1.2] at
     which converges(G) holds, by bisection to width tol."""
-    if d < 2:
+    if (d := as_int(d, "repetition degree d")) < 2:
         raise ValueError(f"threshold search needs d >= 2, got {d}")
     if tol >= 1.2:  # the bracket would come back untouched
         raise ValueError(f"bisection tolerance must be below the bracket width 1.2, got {tol}")
@@ -207,7 +209,7 @@ def block_threshold_grid(d: int) -> float:
     q > (1 - e^{-q*G*d})^{d-1} for all q in (0,1] first fails at the jump u
     (_jump_u), so the threshold is u / (d (1 - e^{-u})^{d-1}), with the limit
     1/2 at d=2. (The name is from an earlier minimisation over a dense grid.)"""
-    if d < 2:
+    if (d := as_int(d, "repetition degree d")) < 2:
         raise ValueError(f"threshold search needs d >= 2, got {d}")
     if d == 2:
         return 0.5
@@ -281,7 +283,7 @@ class _CoupledKernel:
         hist = np.empty((_BLOCK + 1, l + d - 1))
         self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
         self.p = hist[:, :m_f]
-        self._hist, self._last = hist, 0
+        self._hist, self._last, self._delta, self._neg_g_delta = hist, 0, delta, neg_g_delta
         np.copyto(self.p[0], p0)
         hist[0, m_f:] = hist[0, : l + d - 1 - m_f]
         mul, add, m = np.multiply, np.add, list(self.msgs)
@@ -309,6 +311,14 @@ class _CoupledKernel:
             if topo.wrap:
                 calls.append((np.copyto, (row[m_f:], row[: l + d - 1 - m_f])))
             self._calls.append(calls)
+
+    def restart(self, g: float) -> "_CoupledKernel":
+        """Start again from the all-ones profile at load g, with the same
+        call lists: the iterates are those of a kernel built at g, and a
+        build costs 0.3-0.5 ms of numpy views."""
+        np.multiply(self._delta, -g, out=self._neg_g_delta)
+        self._hist[0], self._last = 1.0, 0
+        return self
 
     def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
@@ -346,9 +356,10 @@ def coupled_threshold(
 
     The default bisect_tol is looser than the block one because each coupled
     run costs m_f positions per iteration and near-threshold runs are long.
+    Every probe runs de_coupled_run's iterates on one kernel (restart).
     """
-    topo = build_topology(l, d)
-    return threshold(d, lambda g: de_coupled_run(topo, g, cfg).converged, bisect_tol)
+    kernel = _CoupledKernel(build_topology(l, d), 0.0)
+    return threshold(d, lambda g: _run(kernel.restart(g).advance, cfg, False).converged, bisect_tol)
 
 
 def termination_adjusted_load(g: float, l: int, d: int) -> float:

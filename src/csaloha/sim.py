@@ -230,14 +230,15 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     frame at once: one set of numpy calls per round serves all of them.
     Every _CHECK_ROUNDS rounds, each lane with no slot in the frontier has
     finished peeling. Those lanes are evicted together: each one's peeled
-    mask is copied and a stalled frame is then finished by _inactivate in
-    place. The next frames of the stream are drawn into the freed lanes,
-    checked as FrameGraph checks a frame, and their degree-1 slots join the
-    frontier. A frame larger than C grows every lane, and the ids of the
-    bursts in flight move with their lane. A frame's peel_iterations is the
-    last round whose frontier held one of its lane's slots, less the round
-    at which it entered: it gets that count, and everything else, as when
-    decoded alone.
+    mask is copied, and then _inactivate finishes a stalled frame; it marks
+    solved_v but leaves deg_v/acc_v as peeling left them, and a refill
+    zeroes all three. The next frames of the stream are drawn into the freed
+    lanes, checked as FrameGraph checks a frame, and their degree-1 slots
+    join the frontier. A frame larger than C grows every lane, and the ids
+    of the bursts in flight move with their lane. A frame's peel_iterations
+    is the last round whose frontier held one of its lane's slots, less the
+    round at which it entered: it gets that count, and everything else, as
+    when decoded alone.
 
     A round keeps one copy of a burst that two frontier slots hold, without
     a sort: it writes each candidate's position into pos and keeps those
@@ -370,9 +371,11 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
 
 def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[int], int, int]:
     """Inactivation decoding of the frame with bursts b0..b1-1 and slots
-    s0..s0+m-1, whose peeling stalled; it updates the union's arrays in
-    place: deg_v holds each slot's count of unresolved bursts and acc_v the
-    sum of their ids (see _lanes), so a slot of degree 1 names its burst.
+    s0..s0+m-1, whose peeling stalled: deg_v holds each slot's count of
+    unresolved bursts and acc_v the sum of their ids (see _lanes), so a slot
+    of degree 1 names its burst. The loop runs on copies of both, Python
+    lists over the slots that still hold a burst (an item costs half a
+    memoryview's); of the union's arrays it writes only solved_v.
 
     One loop over a FIFO queue of slots cancels one burst per step: that of
     the next queued slot still of degree 1, which inherits the slot's mask,
@@ -384,41 +387,45 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
     recovered iff its mask reduces to 0 against their echelon basis, whatever
     was inactivated. Returns (lost bursts, rank n - k + rank(constraints), k).
     """
-    # indexing through memoryviews gives plain ints, no numpy scalars
-    rows, deg, acc, solved = map(memoryview, (flat, deg_v, acc_v, solved_v))
+    # the span of slots that still hold a burst (a stalled frame has some)
+    lo, hi = (s0 + np.flatnonzero(deg_v[s0 : s0 + m])[[0, -1]] + [0, 1]).tolist()
+    deg, acc, smask = deg_v[lo:hi].tolist(), acc_v[lo:hi].tolist(), [0] * (hi - lo)  # slot lo + i at i
+    rows, solved = memoryview(flat), memoryview(solved_v)  # plain ints, no numpy scalars
     left = iter((b0 + np.flatnonzero(solved_v[b0:b1] == 0)).tolist())  # the bursts peeling left, ascending
-    smask = [0] * m  # slot s0 + i -> mask of the x_j in its residual value
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
-    queue: deque[int] = deque()
+    queue: deque[int] = deque()  # slots, as positions in the span
     k = 0
     while queue or (b := next((j for j in left if not solved[j]), -1)) >= 0:
         if queue:
             s = queue.popleft()
             if deg[s] != 1:
                 continue
-            b, v = acc[s], smask[s - s0]
+            b, v = acc[s], smask[s]
         else:
             v, k = 1 << k, k + 1
         solved[b] = 1
         for t in rows[b * d : (b + 1) * d]:
+            t -= lo
             deg[t] -= 1
             acc[t] -= b
             if v:
-                smask[t - s0] ^= v
+                smask[t] ^= v
             if deg[t] == 1:
                 queue.append(t)
         if v:
             bmask[b] = v
 
     # a slot that solved a burst ends with mask 0, so the nonzero masks left
-    # are the constraints; basis maps each leading bit to one echelon row
+    # are the constraints; basis maps each leading bit to one echelon row. A
+    # repeated mask already lies in the span, so each is reduced once, in order
     basis: dict[int, int] = {}
-    for v in filter(None, smask):
+    for v in dict.fromkeys(filter(None, smask)):
         if v := _reduce(v, basis):
             basis[v.bit_length() - 1] = v
     lost = []
     if len(basis) < k:  # at full rank every mask lies in the span
-        lost = [b for b, v in bmask.items() if _reduce(v, basis)]
+        out = {v: _reduce(v, basis) for v in set(bmask.values())}
+        lost = [b for b, v in bmask.items() if out[v]]
     return lost, b1 - b0 - k + len(basis), k
 
 
@@ -595,19 +602,8 @@ def run_trials(
     primary = 2 if decoder == "gje" else 1
     by_trial, by_type = counts.sum(axis=2), counts.sum(axis=0)  # (trial, row), (row, type)
     gen, lost = by_trial[:, 0], by_trial[:, primary]
-    report = dict(
-        scenario=scenario,
-        decoder=decoder,
-        trials=trials,
-        offered_g=g,
-        m=m,
-        d=d,
-        seed=seed,
-        l=l,
-        alpha=alpha,
-        n_bursts=int(gen.sum()),
-        n_lost=int(lost.sum()),
-    )
+    report = dict(scenario=scenario, decoder=decoder, trials=trials, offered_g=g, m=m, d=d, seed=seed, l=l, alpha=alpha)
+    report["n_bursts"], report["n_lost"] = int(gen.sum()), int(lost.sum())
     report["plr"], report["ci95"] = _ratio_ci95(lost, gen)
     if scenario == "coupled":
         # a type with no bursts has lost none, so its rate reads 0 / 1

@@ -169,3 +169,29 @@ def test_de_config_validation():
     for max_iters in (0, -1):
         with pytest.raises(ValueError):
             BlockDeConfig(max_iters=max_iters)
+
+
+def test_de_config_takes_an_integral_cap_as_its_integer():
+    # a float cap used to reach the run loop's block sizes: 70.0 died in the
+    # block that the cap ends, and 70.5 was accepted
+    assert BlockDeConfig(max_iters=70.0) == BlockDeConfig(max_iters=70)
+    assert type(BlockDeConfig(max_iters=70.0).max_iters) is int
+    for bad in (70.5, math.nan, "70"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            BlockDeConfig(max_iters=bad)
+    params = SchemeParams(d=3)
+    load = LoadPoint.from_g(0.817, params.alpha)
+    res = de_block_run(params, load, BlockDeConfig(max_iters=70.0))
+    assert (res.stop_reason, res.iterations) == ("cap", 70)
+    assert res == de_block_run(params, load, BlockDeConfig(max_iters=70))
+
+
+def test_threshold_refuses_a_non_integral_degree():
+    # block_threshold(3.5) gave 0.80329, the threshold of no degree
+    for bad in (3.5, math.nan):
+        with pytest.raises(ValueError, match="must be an integer"):
+            block_threshold(bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            block_threshold_grid(bad)
+    assert block_threshold_grid(3.0) == block_threshold_grid(3)
+    assert block_threshold(3.0, bisect_tol=1e-3) == block_threshold(3, bisect_tol=1e-3)

@@ -15,7 +15,7 @@ from csaloha import (
     de_coupled_run,
     termination_adjusted_load,
 )
-from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel, _run
+from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel, _run, threshold
 from oracles import coupled_de_step_reference
 
 
@@ -166,6 +166,37 @@ def test_coupled_trace_pinned_digests():
             h.update(q.astype("<f8").tobytes())
             h.update(p.astype("<f8").tobytes())
         assert h.hexdigest() == digest, (kind, l, d, g)
+
+
+def test_a_coupled_search_builds_one_kernel(monkeypatch):
+    # the probes of a search restart one kernel at each load, and get the
+    # brackets of a kernel built per probe (de_coupled_run)
+    builds, init = [], _CoupledKernel.__init__
+    monkeypatch.setattr(_CoupledKernel, "__init__", lambda self, *a: builds.append(a) or init(self, *a))
+    cfg = BlockDeConfig(max_iters=5_000)
+    for d, l in ((2, 20), (3, 30), (4, 12)):
+        builds.clear()
+        got = coupled_threshold(d, l, cfg, bisect_tol=1e-3)
+        assert len(builds) == 1 and got.evaluations > 5
+        topo = build_topology(l, d)
+        assert got == threshold(d, lambda g: de_coupled_run(topo, g, cfg).converged, 1e-3)
+    # every iterate of a restarted kernel is a new kernel's, after runs at other loads
+    cfg = BlockDeConfig(max_iters=300)
+    for topo in (build_topology(30, 3), build_circulant_topology(12, 4)):
+        kernel = _CoupledKernel(topo, 0.95)
+        for g in (0.95, 0.5, 0.9, 0.917, 0.0):
+            a, b = _run(kernel.restart(g).advance, cfg, True), de_coupled_run(topo, g, cfg, True)
+            assert (a.final_p, a.iterations, a.stop_reason) == (b.final_p, b.iterations, b.stop_reason)
+            assert [(q.tobytes(), p.tobytes()) for q, p in a.trace] == [(q.tobytes(), p.tobytes()) for q, p in b.trace]
+
+
+def test_coupled_run_takes_an_integral_float_cap():
+    # at l=20, g=0.95 the run stalls after 166 iterations; a cap of 100.0
+    # used to reach the kernel's call-list slice and die there
+    topo = build_topology(20, 3)
+    res = de_coupled_run(topo, 0.95, BlockDeConfig(max_iters=100.0))
+    assert (res.stop_reason, res.iterations) == ("cap", 100)
+    assert res == de_coupled_run(topo, 0.95, BlockDeConfig(max_iters=100))
 
 
 # Zero erasure probabilities: every q and p must come out +0.0, as the
