@@ -313,9 +313,8 @@ class _CoupledKernel:
             self._calls.append(calls)
 
     def restart(self, g: float) -> "_CoupledKernel":
-        """Start again from the all-ones profile at load g, with the same
-        call lists: the iterates are those of a kernel built at g, and a
-        build costs 0.3-0.5 ms of numpy views."""
+        """Rewind to the all-ones profile at load g, keeping the call lists:
+        the iterates are a new kernel's, without its 0.3-0.5 ms build."""
         np.multiply(self._delta, -g, out=self._neg_g_delta)
         self._hist[0], self._last = 1.0, 0
         return self
