@@ -230,15 +230,14 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     frame at once: one set of numpy calls per round serves all of them.
     Every _CHECK_ROUNDS rounds, each lane with no slot in the frontier has
     finished peeling. Those lanes are evicted together: each one's peeled
-    mask is copied, and then _inactivate finishes a stalled frame; it marks
-    solved_v but leaves deg_v/acc_v as peeling left them, and a refill
-    zeroes all three. The next frames of the stream are drawn into the freed
-    lanes, checked as FrameGraph checks a frame, and their degree-1 slots
-    join the frontier. A frame larger than C grows every lane, and the ids
-    of the bursts in flight move with their lane. A frame's peel_iterations
-    is the last round whose frontier held one of its lane's slots, less the
-    round at which it entered: it gets that count, and everything else, as
-    when decoded alone.
+    mask is copied and a stalled frame is then finished by _inactivate, which
+    leaves deg_v and acc_v as peeling left them: a refill rewrites the lane.
+    The next frames of the stream are drawn into the freed lanes, checked as
+    FrameGraph checks a frame, and their degree-1 slots join the frontier. A
+    frame larger than C grows every lane, and the ids of the bursts in flight
+    move with their lane. A frame's peel_iterations is the last round whose
+    frontier held one of its lane's slots, less the round at which it entered:
+    it gets that count, and everything else, as when decoded alone.
 
     A round keeps one copy of a burst that two frontier slots hold, without
     a sort: it writes each candidate's position into pos and keeps those
@@ -371,11 +370,9 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
 
 def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[int], int, int]:
     """Inactivation decoding of the frame with bursts b0..b1-1 and slots
-    s0..s0+m-1, whose peeling stalled: deg_v holds each slot's count of
-    unresolved bursts and acc_v the sum of their ids (see _lanes), so a slot
-    of degree 1 names its burst. The loop runs on copies of both, Python
-    lists over the slots that still hold a burst (an item costs half a
-    memoryview's); of the union's arrays it writes only solved_v.
+    s0..s0+m-1, whose peeling stalled, on list copies of deg_v and acc_v (see
+    _lanes) over the span of slots that still hold a burst. Of the union it
+    writes only solved_v and the frame's rows, which become span positions.
 
     One loop over a FIFO queue of slots cancels one burst per step: that of
     the next queued slot still of degree 1, which inherits the slot's mask,
@@ -387,9 +384,9 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
     recovered iff its mask reduces to 0 against their echelon basis, whatever
     was inactivated. Returns (lost bursts, rank n - k + rank(constraints), k).
     """
-    # the span of slots that still hold a burst (a stalled frame has some)
     lo, hi = (s0 + np.flatnonzero(deg_v[s0 : s0 + m])[[0, -1]] + [0, 1]).tolist()
-    deg, acc, smask = deg_v[lo:hi].tolist(), acc_v[lo:hi].tolist(), [0] * (hi - lo)  # slot lo + i at i
+    flat[b0 * d : b1 * d] -= lo  # slot lo + i is i from here on; a refill overwrites the rows
+    deg, acc, smask = deg_v[lo:hi].tolist(), acc_v[lo:hi].tolist(), [0] * (hi - lo)  # half a memoryview's cost
     rows, solved = memoryview(flat), memoryview(solved_v)  # plain ints, no numpy scalars
     left = iter((b0 + np.flatnonzero(solved_v[b0:b1] == 0)).tolist())  # the bursts peeling left, ascending
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
@@ -405,7 +402,6 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
             v, k = 1 << k, k + 1
         solved[b] = 1
         for t in rows[b * d : (b + 1) * d]:
-            t -= lo
             deg[t] -= 1
             acc[t] -= b
             if v:
@@ -415,18 +411,15 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
         if v:
             bmask[b] = v
 
-    # a slot that solved a burst ends with mask 0, so the nonzero masks left
-    # are the constraints; basis maps each leading bit to one echelon row. A
-    # repeated mask already lies in the span, so each is reduced once, in order
+    # the constraints: the distinct nonzero masks left (a solving slot ends at 0); basis: leading bit -> echelon row
     basis: dict[int, int] = {}
     for v in dict.fromkeys(filter(None, smask)):
         if v := _reduce(v, basis):
             basis[v.bit_length() - 1] = v
-    lost = []
-    if len(basis) < k:  # at full rank every mask lies in the span
-        out = {v: _reduce(v, basis) for v in set(bmask.values())}
-        lost = [b for b, v in bmask.items() if out[v]]
-    return lost, b1 - b0 - k + len(basis), k
+    gone = set()  # the masks that do not reduce to 0; at full rank every mask lies in the span
+    if len(basis) < k:
+        gone = {v for v in set(bmask.values()) if _reduce(v, basis)}  # each distinct mask once
+    return [b for b, v in bmask.items() if v in gone] if gone else [], b1 - b0 - k + len(basis), k
 
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
@@ -602,8 +595,19 @@ def run_trials(
     primary = 2 if decoder == "gje" else 1
     by_trial, by_type = counts.sum(axis=2), counts.sum(axis=0)  # (trial, row), (row, type)
     gen, lost = by_trial[:, 0], by_trial[:, primary]
-    report = dict(scenario=scenario, decoder=decoder, trials=trials, offered_g=g, m=m, d=d, seed=seed, l=l, alpha=alpha)
-    report["n_bursts"], report["n_lost"] = int(gen.sum()), int(lost.sum())
+    report = dict(
+        scenario=scenario,
+        decoder=decoder,
+        trials=trials,
+        offered_g=g,
+        m=m,
+        d=d,
+        seed=seed,
+        l=l,
+        alpha=alpha,
+        n_bursts=int(gen.sum()),
+        n_lost=int(lost.sum()),
+    )
     report["plr"], report["ci95"] = _ratio_ci95(lost, gen)
     if scenario == "coupled":
         # a type with no bursts has lost none, so its rate reads 0 / 1
