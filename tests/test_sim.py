@@ -681,7 +681,7 @@ def test_exact_pass_over_two_c8_super_frames_stays_under_its_memory_bound(monkey
     # MB when the bursts that peeling left were grouped by slot, then the
     # peeling-only peak of the same batch, 3.23 MB (numpy 2.4). The exact
     # pass's lists over the residual's slot span take it to 3.25 MB; lists
-    # over the whole frame took 3.52 MB
+    # over the whole frame took 3.48 MB
     peak, counts = _c8_batch_peak(monkeypatch, [0, 1], exact=True)
     assert counts[:, 1].sum() > counts[:, 2].sum()  # peeling stalled, inactivation ran
     assert peak < 4.0e6
@@ -747,7 +747,7 @@ def test_exact_pass_in_the_last_lane_matches_the_dense_oracle():
     for f in frames:
         left = f.slots[sorted(set(range(f.n_active)) - peel(f).recovered)]
         ends += left.min() == 0 and left.max() == m - 1
-        (recovered, _, _, rank, k), = _lane_views([empty, empty, f], 3, m)[0][2:]
+        recovered, _, _, rank, k = _lane_views([empty, empty, f], 3, m)[0][2]
         assert (recovered, rank) == dense_gje_decode(f)
         assert k == gje_decode(f).inactivations > 0
         deficient += rank < f.n_active
