@@ -386,7 +386,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
     """
     lo, hi = (s0 + np.flatnonzero(deg_v[s0 : s0 + m])[[0, -1]] + [0, 1]).tolist()
     flat[b0 * d : b1 * d] -= lo  # slot lo + i is i from here on; a refill overwrites the rows
-    deg, acc, smask = deg_v[lo:hi].tolist(), acc_v[lo:hi].tolist(), [0] * (hi - lo)  # half a memoryview's cost
+    deg, acc, smask = deg_v[lo:hi].tolist(), acc_v[lo:hi].tolist(), [0] * (hi - lo)  # lists: half a memoryview's cost
     rows, solved = memoryview(flat), memoryview(solved_v)  # plain ints, no numpy scalars
     left = iter((b0 + np.flatnonzero(solved_v[b0:b1] == 0)).tolist())  # the bursts peeling left, ascending
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value

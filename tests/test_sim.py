@@ -740,7 +740,7 @@ def test_exact_decoding_pinned():
 def test_exact_pass_in_the_last_lane_matches_the_dense_oracle():
     # the exact pass reads a stalled frame at its lane's slot offset, over the
     # slots its residual holds: each frame here is decoded in the last of
-    # three lanes, and most residuals hold the frame's first and last slot
+    # three lanes, and half of the residuals hold the frame's first and last slot
     m, empty = 300, FrameGraph(n_slots=300, d=3, slots=np.zeros((0, 3), dtype=np.int64))
     frames = [sample_block_frame(m, 0.95, 3, rng_stream(61, t)) for t in range(12)]
     ends, deficient = 0, 0
