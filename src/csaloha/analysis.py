@@ -243,9 +243,10 @@ def efficiency(g_conv: float, g_star: float) -> float:
 
 
 class _CoupledKernel:
-    """The coupled update at one load g, compiled once into a list of numpy
-    calls per history row, so that a step allocates nothing and branches on
-    nothing.
+    """The coupled update, compiled once into a list of numpy calls per
+    history row, so that a step allocates nothing and branches on nothing;
+    start sets the load and the iterate before the first step, so one
+    kernel serves every probe of a threshold search.
 
     Iterates are produced in blocks of up to _BLOCK into a history buffer:
     row t holds iterate t of the block and row 0 the one before it, so step
@@ -270,10 +271,10 @@ class _CoupledKernel:
     rounding symmetric in sign, so every iterate keeps its bits.
     """
 
-    def __init__(self, topo: CoupledTopology, g: float, p0: np.ndarray | float = 1.0):
+    def __init__(self, topo: CoupledTopology):
         l, d, m_f = topo.l, topo.d, topo.m_f
         delta = np.array(topo.delta, dtype=np.float64)
-        signed_delta, neg_g_delta = delta if d % 2 else -delta, -g * delta
+        signed_delta, neg_g_delta = delta if d % 2 else -delta, np.empty(m_f)
         buf = np.full(d * (l + d), -0.0)
         rows = buf[: d * (l + d - 1)].reshape(d, l + d - 1)  # message k at columns k..k+l-1
         self.msgs = buf.reshape(d, l + d)[:, :l]  # msgs[k, i]: message of type i+1 toward its k-th frame
@@ -284,8 +285,6 @@ class _CoupledKernel:
         self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
         self.p = hist[:, :m_f]
         self._hist, self._last, self._delta, self._neg_g_delta = hist, 0, delta, neg_g_delta
-        np.copyto(self.p[0], p0)
-        hist[0, m_f:] = hist[0, : l + d - 1 - m_f]
         mul, add, m = np.multiply, np.add, list(self.msgs)
         # each frame adds its types in increasing order, i.e. by decreasing k;
         # the sums, folds included, are the same calls at every step
@@ -312,11 +311,13 @@ class _CoupledKernel:
                 calls.append((np.copyto, (row[m_f:], row[: l + d - 1 - m_f])))
             self._calls.append(calls)
 
-    def restart(self, g: float) -> "_CoupledKernel":
-        """Rewind to the all-ones profile at load g, keeping the call lists:
-        the iterates are a new kernel's, without its 0.3-0.5 ms build."""
+    def start(self, g: float, p0: np.ndarray | float = 1.0) -> "_CoupledKernel":
+        """Set the load to g and the iterate before the first step to p0."""
         np.multiply(self._delta, -g, out=self._neg_g_delta)
-        self._hist[0], self._last = 1.0, 0
+        hist, m_f = self._hist, self.p.shape[1]
+        np.copyto(self.p[0], p0)
+        hist[0, m_f:] = hist[0, : hist.shape[1] - m_f]
+        self._last = 0
         return self
 
     def advance(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +343,7 @@ def de_coupled_run(
     the worst position's erasure probability, which is final_p."""
     if not 0.0 <= g < math.inf:
         raise ValueError(f"offered traffic must be finite and >= 0, got {g}")
-    return _run(_CoupledKernel(topo, g).advance, cfg, record_trace)
+    return _run(_CoupledKernel(topo).start(g).advance, cfg, record_trace)
 
 
 def coupled_threshold(
@@ -355,10 +356,10 @@ def coupled_threshold(
 
     The default bisect_tol is looser than the block one because each coupled
     run costs m_f positions per iteration and near-threshold runs are long.
-    Every probe runs de_coupled_run's iterates on one kernel (restart).
+    Every probe runs de_coupled_run's iterates on one kernel.
     """
-    kernel = _CoupledKernel(build_topology(l, d), 0.0)
-    return threshold(d, lambda g: _run(kernel.restart(g).advance, cfg, False).converged, bisect_tol)
+    kernel = _CoupledKernel(build_topology(l, d))
+    return threshold(d, lambda g: _run(kernel.start(g).advance, cfg, False).converged, bisect_tol)
 
 
 def termination_adjusted_load(g: float, l: int, d: int) -> float:

@@ -419,7 +419,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
     gone = set()  # the masks that do not reduce to 0; at full rank every mask lies in the span
     if len(basis) < k:
         gone = {v for v in set(bmask.values()) if _reduce(v, basis)}  # each distinct mask once
-    return [b for b, v in bmask.items() if v in gone] if gone else [], b1 - b0 - k + len(basis), k
+    return [b for b, v in bmask.items() if v in gone], b1 - b0 - k + len(basis), k
 
 
 def _reduce(v: int, basis: dict[int, int]) -> int:

@@ -21,7 +21,7 @@ from oracles import coupled_de_step_reference
 
 def test_step_zero_profile_is_absorbing():
     topo = build_topology(5, 3)
-    kernel = _CoupledKernel(topo, 0.9, np.zeros(topo.m_f))
+    kernel = _CoupledKernel(topo).start(0.9, np.zeros(topo.m_f))
     _, p = kernel.advance(1)
     assert np.all(kernel.msgs == 0.0)
     assert np.all(p == 0.0)
@@ -31,7 +31,7 @@ def test_step_all_ones_interior_and_boundary():
     # from the all-ones profile every message is 1, so position j sees
     # p_j = 1 - exp(-g * delta_j)
     topo = build_topology(200, 3)
-    kernel = _CoupledKernel(topo, 0.9)
+    kernel = _CoupledKernel(topo).start(0.9)
     p = kernel.advance(1)[1][1]
     assert np.all(kernel.msgs == 1.0)
     assert p[100] == pytest.approx(0.93279448726025023, abs=1e-15)  # delta=3
@@ -169,7 +169,7 @@ def test_coupled_trace_pinned_digests():
 
 
 def test_a_coupled_search_builds_one_kernel(monkeypatch):
-    # the probes of a search restart one kernel at each load, and get the
+    # the probes of a search start one kernel at each load, and get the
     # brackets of a kernel built per probe (de_coupled_run)
     builds, init = [], _CoupledKernel.__init__
     monkeypatch.setattr(_CoupledKernel, "__init__", lambda self, *a: builds.append(a) or init(self, *a))
@@ -180,12 +180,12 @@ def test_a_coupled_search_builds_one_kernel(monkeypatch):
         assert len(builds) == 1 and got.evaluations > 5
         topo = build_topology(l, d)
         assert got == threshold(d, lambda g: de_coupled_run(topo, g, cfg).converged, 1e-3)
-    # every iterate of a restarted kernel is a new kernel's, after runs at other loads
+    # every iterate of a kernel started again is a new kernel's, after runs at other loads
     cfg = BlockDeConfig(max_iters=300)
     for topo in (build_topology(30, 3), build_circulant_topology(12, 4)):
-        kernel = _CoupledKernel(topo, 0.95)
+        kernel = _CoupledKernel(topo)
         for g in (0.95, 0.5, 0.9, 0.917, 0.0):
-            a, b = _run(kernel.restart(g).advance, cfg, True), de_coupled_run(topo, g, cfg, True)
+            a, b = _run(kernel.start(g).advance, cfg, True), de_coupled_run(topo, g, cfg, True)
             assert (a.final_p, a.iterations, a.stop_reason) == (b.final_p, b.iterations, b.stop_reason)
             assert [(q.tobytes(), p.tobytes()) for q, p in a.trace] == [(q.tobytes(), p.tobytes()) for q, p in b.trace]
 
@@ -210,7 +210,7 @@ def test_run_from_zeros_has_no_negative_zero(d):
             p0 = np.ones(topo.m_f)
             p0[::every] = 0.0
             for g in (0.0, 0.9):
-                res = _run(_CoupledKernel(topo, g, p0).advance, BlockDeConfig(max_iters=100), True)
+                res = _run(_CoupledKernel(topo).start(g, p0).advance, BlockDeConfig(max_iters=100), True)
                 for q, p in res.trace:
                     assert not np.signbit(q).any() and not np.signbit(p).any(), (topo, every, g)
                     zeros_seen += np.count_nonzero(q == 0.0) + np.count_nonzero(p == 0.0)
@@ -227,7 +227,7 @@ _CALLS_PER_STEP = {2: (6, 8), 3: (8, 11), 4: (12, 16), 5: (16, 21), 6: (20, 26),
 def test_step_call_count_pinned():
     for d, counts in _CALLS_PER_STEP.items():
         for build, count in zip((build_topology, build_circulant_topology), counts):
-            calls = _CoupledKernel(build(3 * d, d), 0.9)._calls
+            calls = _CoupledKernel(build(3 * d, d))._calls
             assert len(calls) == _BLOCK
             assert {len(c) for c in calls} == {count}, (build.__name__, d)
 

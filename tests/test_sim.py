@@ -676,12 +676,8 @@ def test_decoding_three_c8_super_frames_stays_under_its_memory_bound(monkeypatch
 
 
 def test_exact_pass_over_two_c8_super_frames_stays_under_its_memory_bound(monkeypatch):
-    # _inactivate keeps no index of the bursts by slot: 4.66 MB with one
-    # FrameGraph per frame, 4.31 MB with the rows drawn into the union, 3.63
-    # MB when the bursts that peeling left were grouped by slot, then the
-    # peeling-only peak of the same batch, 3.23 MB (numpy 2.4). The exact
-    # pass's lists over the residual's slot span take it to 3.25 MB; lists
-    # over the whole frame took 3.48 MB
+    # peeling 3.23 MB, exact 3.25 MB (numpy 2.4); lists over the whole frame
+    # rather than the residual's slot span would break the 1.02x bound
     peak, counts = _c8_batch_peak(monkeypatch, [0, 1], exact=True)
     assert counts[:, 1].sum() > counts[:, 2].sum()  # peeling stalled, inactivation ran
     assert peak < 4.0e6
