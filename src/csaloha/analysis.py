@@ -85,8 +85,8 @@ class BlockDeConfig:
     ("stall": a fixed point, or slowing near the threshold) or after
     max_iters iterations ("cap"); DeResult.stop_reason names which. Near a
     threshold a run that would still converge can so count as a failure:
-    at d=3, l=200 three coupled probes hit the 1e5 cap, and the coupled
-    threshold lands 3.2e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 2).
+    at d=3, l=200 two coupled probes hit the 1e5 cap, and the coupled
+    threshold lands 2.5e-4 below the MAP bound (tolerance 1e-4, ROADMAP item 2).
     An integral float cap is taken as its integer (core.as_int).
     """
 
@@ -356,10 +356,25 @@ def coupled_threshold(
 
     The default bisect_tol is looser than the block one because each coupled
     run costs m_f positions per iteration and near-threshold runs are long.
-    Every probe runs de_coupled_run's iterates on one kernel.
+
+    Each probe runs on one kernel from the stop iterate p_T of the last probe
+    that missed the target (all ones before it), the bracket's hi, so every
+    later load g is lower. The computed map f_g is monotone in p and in g
+    (rounded products, sums and quotients, exact negation, and libm's expm1,
+    checked, not proved: ROADMAP item 8), so f_g^T(1) <= p_T <= 1 by induction
+    and f_g^{t+T}(1) <= f_g^t(p_T) <= f_g^t(1): a warm run is never behind
+    de_coupled_run's cold one, and it reaches the same limit.
     """
     kernel = _CoupledKernel(build_topology(l, d))
-    return threshold(d, lambda g: _run(kernel.start(g).advance, cfg, False).converged, bisect_tol)
+    p0 = np.ones(kernel.p.shape[1])
+
+    def converges(g):
+        res = _run(kernel.start(g, p0).advance, cfg, False)
+        if not res.converged:  # the stop iterate: _run's blocks start at multiples of _BLOCK
+            np.copyto(p0, kernel.p[(res.iterations - 1) % _BLOCK + 1])
+        return res.converged
+
+    return threshold(d, converges, bisect_tol)
 
 
 def termination_adjusted_load(g: float, l: int, d: int) -> float:

@@ -29,8 +29,9 @@ class SchemeParams:
     alpha: float = 100.0
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"repetition degree d must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", as_int(self.d, "repetition degree d"))
+        if self.d < 1:
+            raise ValueError(f"repetition degree d must be >= 1, got {self.d}")
         if not (1.0 < self.alpha and self.d * self.alpha < 2.0**1023):  # map_load_bound sums two u <= d*alpha
             raise ValueError(f"population alpha must exceed 1 with d*alpha below 2**1023, got {self.alpha!r}")
 
@@ -91,8 +92,8 @@ class CoupledTopology:
 
 def as_int(x, what: str) -> int:
     """x as an int: an integral real (4, 4.0, numpy integers) is converted,
-    and anything else (4.5, NaN, a string) is refused, not rounded."""
-    if not (isinstance(x, numbers.Real) and x % 1 == 0):
+    and anything else (4.5, NaN, a string, a bool) is refused, not rounded."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x % 1 == 0):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from csaloha import (
+    BlockDeConfig,
     LoadPoint,
     SchemeParams,
     build_circulant_topology,
     build_topology,
     rng_stream,
+    run_trials,
 )
 from csaloha.core import CoupledTopology
 from oracles import brute_force_occupancy
@@ -95,6 +97,26 @@ def test_topology_refuses_non_integral_sizes():
             build_topology(l, d)
     assert build_topology(4.0, np.int64(3)) == CoupledTopology(4, 3)
     assert build_topology(4.0, 3).delta == (1, 2, 3, 3, 2, 1)
+
+
+def test_scheme_params_takes_an_integral_degree():
+    # SchemeParams(d=np.int64(3)) and SchemeParams(d=3.0) used to raise,
+    # while build_topology and block_threshold took the same values
+    assert SchemeParams(d=np.int64(3)) == SchemeParams(d=3.0) == SchemeParams(d=3)
+    assert type(SchemeParams(d=np.int64(3)).d) is type(SchemeParams(d=3.0).d) is int
+    for bad in (3.5, math.nan, "3"):
+        with pytest.raises(ValueError, match="repetition degree d must be an integer"):
+            SchemeParams(d=bad)
+
+
+def test_a_bool_is_not_an_integer():
+    # True used to count as 1: a cap of one iteration, a chain of one frame
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        BlockDeConfig(max_iters=True)
+    with pytest.raises(ValueError, match="chain length l must be an integer"):
+        build_topology(True, 3)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_trials("block", m=100, d=3, g=0.5, trials=True, seed=0)
 
 
 def test_circulant_topology():

@@ -15,6 +15,7 @@ from csaloha import (
     de_coupled_run,
     termination_adjusted_load,
 )
+from csaloha import analysis
 from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel, _run, threshold
 from oracles import coupled_de_step_reference
 
@@ -188,6 +189,96 @@ def test_a_coupled_search_builds_one_kernel(monkeypatch):
             a, b = _run(kernel.start(g).advance, cfg, True), de_coupled_run(topo, g, cfg, True)
             assert (a.final_p, a.iterations, a.stop_reason) == (b.final_p, b.iterations, b.stop_reason)
             assert [(q.tobytes(), p.tobytes()) for q, p in a.trace] == [(q.tobytes(), p.tobytes()) for q, p in b.trace]
+
+
+# The computed coupled map is monotone in the profile and in the load:
+# x <= y and g <= g' give f_g(x) <= f_g'(y) for one step of the kernel. Warm
+# starts (coupled_threshold) rest on it. Every operation of a step is
+# correctly rounded or exact except libm's expm1, whose order is checked
+# here, not proved: y one ulp above x in some entries, g' one ulp above g.
+@pytest.mark.parametrize("d", range(2, 9))
+def test_computed_step_is_monotone_in_profile_and_load(d):
+    rng = np.random.default_rng(800 + d)
+    for topo in (build_topology(3 * d, d), build_circulant_topology(2 * d, d)):
+        kx, ky, m_f = _CoupledKernel(topo), _CoupledKernel(topo), topo.m_f
+        for case in range(300):
+            y = rng.random(m_f) ** rng.choice([1.0, 8.0, 0.05])  # spread, near 0, near 1
+            y[rng.random(m_f) < 0.1] = 1.0
+            kind = case % 3
+            if kind == 0:
+                x = y * rng.random(m_f)
+            else:  # x one ulp below y in about half, or in all, of its entries
+                x = np.where(rng.random(m_f) < 0.5 * kind, np.nextafter(y, 0.0), y)
+            x[rng.random(m_f) < 0.2] = 0.0
+            both = rng.random(m_f) < 0.1
+            x[both], y[both] = 0.0, 0.0
+            g = rng.uniform(0.0, 1.2)
+            g2 = (g, np.nextafter(g, 2.0), g + rng.uniform(0.0, 1e-3), rng.uniform(g, 1.2))[case % 4]
+            fx = kx.start(g, x).advance(1)[1][1]
+            fy = ky.start(g2, y).advance(1)[1][1]
+            assert np.all(fx <= fy), (topo, case, g, g2)
+
+
+# The sandwich: for g <= g_hi and p_T iterate T of the cold run at g_hi,
+# f_g^{t+T}(1) <= f_g^t(p_T) <= f_g^t(1). A warm run is never behind the cold
+# one, reaches its limit, and reaches the target no later. At g_hi itself it
+# is the cold run resumed. Loads are around each d's l=12 threshold.
+@pytest.mark.parametrize("d,thr", [(2, 0.5124), (3, 0.9255), (4, 0.9829), (5, 0.9987), (6, 1.0052)])
+def test_warm_run_is_sandwiched_by_the_cold_run(d, thr):
+    topo, cfg = build_topology(12, d), BlockDeConfig(max_iters=20_000)
+    g_hi = thr + 0.02
+    hot = de_coupled_run(topo, g_hi, cfg, record_trace=True)
+    assert hot.stop_reason == "stall"
+    for T in (5, 40, hot.iterations):
+        p_T = hot.trace[T - 1][1]
+        for g in (g_hi, thr + 0.005, thr - 0.005, thr - 0.1, 0.3):
+            cold = de_coupled_run(topo, g, cfg, record_trace=True)
+            warm = _run(_CoupledKernel(topo).start(g, p_T).advance, cfg, True)
+            cp, wp = [p for _, p in cold.trace], [p for _, p in warm.trace]
+            for t, w in enumerate(wp):
+                if t < len(cp):
+                    assert np.all(w <= cp[t]), (T, g, t)
+                if t + T < len(cp):
+                    assert np.all(cp[t + T] <= w), (T, g, t)
+            assert warm.converged is cold.converged and warm.iterations <= cold.iterations
+            assert np.abs(wp[-1] - cp[-1]).max() <= (1e-10 if cold.stop_reason == "stall" else 2 * TARGET_P)
+        resumed = _run(_CoupledKernel(topo).start(g_hi, p_T).advance, cfg, True)
+        rest = [p.tobytes() for _, p in hot.trace[T:]]
+        assert [p.tobytes() for _, p in resumed.trace[: len(rest)]] == rest
+
+
+# (bracket_lo, bracket_hi, DE iterations) of the warm search at l=20, tol
+# 1e-4 and a 5000 cap. The cold search's capped probes hold it one bracket
+# lower at d=2..4 and cost it 25,131 iterations at d=3, against 23,902.
+_WARM_SEARCHES = {
+    2: (0.5038330078125, 0.5039062499999999, 14382),
+    3: (0.9179443359374999, 0.918017578125, 23902),
+    4: (0.9766845703124998, 0.9767578124999998, 23391),
+    5: (0.9922119140624999, 0.9922851562499999, 16976),
+    6: (0.9971923828124998, 0.9972656249999998, 13616),
+}
+
+
+def test_warm_search_spends_fewer_iterations_than_the_cold_one(monkeypatch):
+    runs, run = [], analysis._run
+
+    def counted(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(analysis, "_run", counted)
+    cfg = BlockDeConfig(max_iters=5_000)
+    for d, pinned in _WARM_SEARCHES.items():
+        runs.clear()
+        warm = coupled_threshold(d, 20, cfg, bisect_tol=1e-4)
+        warm_its = sum(r.iterations for r in runs)
+        runs.clear()
+        topo = build_topology(20, d)
+        cold = threshold(d, lambda g: de_coupled_run(topo, g, cfg).converged, 1e-4)
+        cold_its = sum(r.iterations for r in runs)
+        assert (warm.bracket_lo, warm.bracket_hi, warm_its) == pinned
+        assert warm.evaluations == cold.evaluations and warm.bracket_lo >= cold.bracket_lo
+        assert warm_its < cold_its, (d, warm_its, cold_its)
 
 
 def test_coupled_run_takes_an_integral_float_cap():
