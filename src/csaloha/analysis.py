@@ -263,60 +263,77 @@ class _CoupledKernel:
     directly; advance negates the block once before returning it. A
     message, a product of d-1 entries of r, so carries the sign (-1)^(d-1),
     and dividing the sums by delta given that same sign yields q itself.
-    Message k sits at column k of a row of length l+d-1 (msgs is the (d, l)
-    view of the messages alone), so each sum is d-1 full-length adds. The
-    other entries are never written and hold -0.0, which adds nothing, not
-    even to a zero: x + -0.0 = x. (With +0.0, a zero sum at even d, -0.0,
-    would turn +0.0, and q would come out -0.0.) Negation is exact and
-    rounding symmetric in sign, so every iterate keeps its bits.
+    Message k sits at columns k..k+l-1 of a row of length l+d-1, so each
+    sum is d-1 full-length adds; the row's other entries are never written
+    and hold -0.0, which adds nothing, not even to a zero: x + -0.0 = x.
+    (With +0.0, a zero sum at even d, -0.0, would turn +0.0, and q would
+    come out -0.0.) At d >= 3 each step first forms pair[x] = r[x]*r[x+1]
+    over the previous row: its windows at 0 and d-2 are the first prefix
+    product w0*w1 and the first suffix product w_{d-1}*w_{d-2}. At d=3
+    these are the messages toward the last and the first frame, so both
+    are windows of the -0.0-padded pair buffer. At d=2 the messages are
+    the previous row itself, whose history row has a -0.0 column on each
+    side (advance negates whole rows, then resets those columns). Other
+    messages have rows of their own; msgs holds the d messages of step 1.
+    A two-factor product commutes exactly, negation is exact and rounding
+    symmetric in sign, so every iterate keeps its bits.
     """
 
     def __init__(self, topo: CoupledTopology):
         l, d, m_f = topo.l, topo.d, topo.m_f
+        n = l + d - 1  # row length: the m_f positions, then a circulant's extension
         delta = np.array(topo.delta, dtype=np.float64)
         signed_delta, neg_g_delta = delta if d % 2 else -delta, np.empty(m_f)
-        buf = np.full(d * (l + d), -0.0)
-        rows = buf[: d * (l + d - 1)].reshape(d, l + d - 1)  # message k at columns k..k+l-1
-        self.msgs = buf.reshape(d, l + d)[:, :l]  # msgs[k, i]: message of type i+1 toward its k-th frame
-        self.msgs[:] = 1.0  # the empty product at d=1; every other message is written before it is read
-        q_sum = rows[0] if d == 1 else np.empty(l + d - 1)
+        own = np.full((d, n), -0.0)  # own[k]: message k at columns k..k+l-1
+        own[0, :l] = 1.0  # the empty product at d=1; at d >= 2 it is unused or written before it is read
+        pair = np.full(n + 3, -0.0)  # pair[x] = r[x]*r[x+1] at column x+2
+        q_sum = own[0] if d == 1 else np.empty(n)
         q_head = q_sum[:m_f]
-        hist = np.empty((_BLOCK + 1, l + d - 1))
+        hist = np.full((_BLOCK + 1, n + 2), -0.0)  # r rows at columns 1..n
         self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
-        self.p = hist[:, :m_f]
-        self._hist, self._last, self._delta, self._neg_g_delta = hist, 0, delta, neg_g_delta
-        mul, add, m = np.multiply, np.add, list(self.msgs)
-        # each frame adds its types in increasing order, i.e. by decreasing k;
-        # the sums, folds included, are the same calls at every step
-        sums = [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
-        if topo.wrap:
-            sums += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
+        self.p = hist[:, 1 : m_f + 1]
+        self._hist, self._r, self._last, self._delta, self._neg_g_delta = hist, hist[:, 1:-1], 0, delta, neg_g_delta
+        mul, add = np.multiply, np.add
+        # at d=3 the end messages are windows of the pair product
+        rows = [pair[3 : n + 3], own[1], pair[:n]] if d == 3 else list(own)
+        pair0, pair_s = pair[2 : l + 2], pair[d : d + l]  # w[0]*w[1] and w[d-2]*w[d-1]
         self._calls = []  # _calls[t-1]: the (ufunc, args) pairs of step t
-        for prev, row, r, q in zip(hist, hist[1:], self.p[1:], self.q):
-            w, calls = [prev[k : k + l] for k in range(d)], []
+        for prev, r_row, r, q in zip(hist, self._r[1:], self.p[1:], self.q):
+            w = [prev[k + 1 : k + 1 + l] for k in range(d)]
+            if d == 2:  # the messages are the previous row, between its -0.0 columns
+                rows = [prev[2 : n + 2], prev[:n]]
+            if d == 2 or not self._calls:  # else the messages, sums and folds are the same at every step
+                m = [rows[k][k : k + l] for k in range(d)]  # m[k][i]: message of type i+1 toward its k-th frame
+                if not self._calls:
+                    self.msgs = tuple(m)  # the messages of step 1
+                # each frame adds its types in increasing order, i.e. by decreasing k
+                sums = [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
+                if topo.wrap:
+                    sums += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
+            calls = []
             if d > 2:
-                # extrinsic products: prefix products left to right, m[k] = w[0]*...*w[k-1] ...
-                calls += [(mul, (w[0], w[1], m[2]))] + [(mul, (m[k - 1], w[k - 1], m[k])) for k in range(3, d)]
-                # ... times suffix products right to left, m[k] *= w[d-1]*...*w[k+1];
+                calls.append((mul, (prev[1:n], prev[2 : n + 1], pair[2 : n + 1])))
+                prefix = [w[0], pair0] + m[3:]  # prefix[j] = w[0]*...*w[j]
+                # prefix products left to right, m[k] = w[0]*...*w[k-1] ...
+                calls += [(mul, (prefix[k - 2], w[k - 1], m[k])) for k in range(3, d)]
+                # ... times suffix products right to left, m[k] = prefix * w[d-1]*...*w[k+1];
                 # the running suffix product is kept in m[0] and ends as its message
-                right = w[d - 1]
-                for k in range(d - 2, 1, -1):
-                    calls += [(mul, (m[k], right, m[k])), (mul, (right, w[k], m[0]))]
+                calls.append((mul, (prefix[d - 3], w[d - 1], m[d - 2])))
+                right = pair_s
+                for k in range(d - 3, 0, -1):
+                    calls += [(mul, (prefix[k - 1], right, m[k])), (mul, (right, w[k], m[0]))]
                     right = m[0]
-                calls += [(mul, (w[0], right, m[1])), (mul, (right, w[1], m[0]))]
-            elif d == 2:
-                calls += [(np.copyto, (m[1], w[0])), (np.copyto, (m[0], w[1]))]
             calls += sums + [(np.divide, (q_head, signed_delta, q)), (mul, (neg_g_delta, q, r)), (np.expm1, (r, r))]
             if topo.wrap:
-                calls.append((np.copyto, (row[m_f:], row[: l + d - 1 - m_f])))
+                calls.append((np.copyto, (r_row[m_f:], r_row[: n - m_f])))
             self._calls.append(calls)
 
     def start(self, g: float, p0: np.ndarray | float = 1.0) -> "_CoupledKernel":
         """Set the load to g and the iterate before the first step to p0."""
         np.multiply(self._delta, -g, out=self._neg_g_delta)
-        hist, m_f = self._hist, self.p.shape[1]
+        r, m_f = self._r, self.p.shape[1]
         np.copyto(self.p[0], p0)
-        hist[0, m_f:] = hist[0, : hist.shape[1] - m_f]
+        r[0, m_f:] = r[0, : r.shape[1] - m_f]
         self._last = 0
         return self
 
@@ -324,12 +341,13 @@ class _CoupledKernel:
         """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
         and n+1 rows of p, row 0 being the iterate before them."""
         hist = self._hist
-        np.negative(hist[self._last], hist[0])  # r of the iterate before the block (p0 at the first call)
+        np.negative(self._r[self._last], self._r[0])  # r of the iterate before the block (p0 at the first call)
         self._last = n
         for calls in self._calls[:n]:
             for f, args in calls:
                 f(*args)
-        np.negative(hist[: n + 1], hist[: n + 1])
+        np.negative(hist[: n + 1], hist[: n + 1])  # whole rows: one contiguous pass
+        hist[: n + 1, :: hist.shape[1] - 1] = -0.0  # the pad columns it turned +0.0
         return self.q[:n], self.p[: n + 1]
 
 
