@@ -138,5 +138,24 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     uses stream_id=t, so results do not depend on execution order or on how
     trials are distributed over workers.
     """
-    key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id)))
+
+
+def rng_streams(seed: int, ids):
+    """rng_stream(seed, t) for each t in ids, as one Generator re-keyed per id.
+
+    Before each yield the held state of a fresh Philox (counter and buffer at
+    zero) is assigned with its key set to (seed, t), so the draws are
+    rng_stream's, at about a quarter of a new Philox's cost. The Generator
+    yielded for one id stops being that id's stream at the next.
+    """
+    rng = rng_stream(seed, 0)
+    state = rng.bit_generator.state
+    for t in ids:
+        state["state"]["key"] = _key(seed, t)
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _key(seed: int, stream_id: int) -> np.ndarray:
+    return np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)

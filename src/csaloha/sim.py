@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import CoupledTopology, as_int, build_topology, pool_map, pool_size, rng_stream
+from .core import CoupledTopology, as_int, build_topology, pool_map, pool_size, rng_streams
 
 
 @dataclass(eq=False)
@@ -201,12 +201,12 @@ def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
 # its slowest frame was done):
 #
 #   interval   C8 s           C7 s           C8 / C7 rounds
-#          1   0.391 /   -    0.283 /   -    6,725 /   795
-#          2   0.357 /   -    0.263 /   -    6,742 /   821
-#          4   0.368 / 0.372  0.244 / 0.245  6,774 /   870
-#          8   0.356 / 0.361  0.234 / 0.246  6,838 /   989
-#         16   0.343 / 0.355  0.234 / 0.241  6,950 / 1,096
-#         32   0.345 / 0.362  0.236 / 0.232  7,204 / 1,104
+#          1   0.329 / 0.345  0.225 / 0.230  6,725 /   795
+#          2   0.306 / 0.322  0.211 / 0.219  6,742 /   821
+#          4   0.294 / 0.315  0.195 / 0.200  6,774 /   870
+#          8   0.288 / 0.305  0.188 / 0.197  6,838 /   989
+#         16   0.287 / 0.305  0.183 / 0.187  6,950 / 1,096
+#         32   0.287 / 0.299  0.184 / 0.189  7,204 / 1,104
 _CHECK_ROUNDS = 16
 
 # Bursts that one piece of a lane fill checks and counts in at once. A piece
@@ -243,6 +243,19 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     a sort: it writes each candidate's position into pos and keeps those
     whose position survived. Any repeat may win the write: one copy survives,
     and the round's later updates are order-independent integer scatters.
+    Its boolean selects are compress calls, which equal x[mask] at about
+    half the cost on arrays of a few thousand entries.
+
+    The next frontier needs no gather of the degrees before the round, by an
+    invariant: every slot of degree 1 is in the frontier when a round starts
+    (a fill adds its frames' degree-1 slots, and a round solves every
+    degree-1 slot of its frontier and adds each slot that falls from 2 or
+    more to at most 1). So the cancelled slots t that had degree 1 are the
+    round's solving slots, one, and each appears in t once: it holds one
+    burst, which the round keeps once. The others had degree 2 or more. So
+    one is set to 3 before the scatters and ends at 2, deg_v[t] <= 1 then
+    picks, in order, the slots that fell from 2 or more to at most 1, and
+    one is set to its true degree, 0.
 
     acc_v holds each slot's sum of unresolved burst ids: a slot of degree 1
     holds its burst's id, and one of degree k less than k*n, far inside int64.
@@ -351,16 +364,18 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
                 break
             r += 1
             fronts.append(frontier)
-            b = acc_v[frontier[deg_v[frontier] == 1]]
+            one = frontier.compress(deg_v[frontier] == 1)  # the solving slots
+            b = acc_v[one]
             at = np.arange(b.size, dtype=np.int32)  # pos's dtype: a cast would cost more than the scatter
             pos[b] = at
-            b = b[pos[b] == at]
+            b = b.compress(pos[b] == at)
             solved_v[b] = 1
             t = rows.take(b, 0).ravel()
-            before = deg_v[t]
+            deg_v[one] = 3  # the sentinel: a solving slot ends the round at 2, out of the frontier
             np.subtract.at(deg_v, t, 1)
             np.subtract.at(acc_v, t, b.repeat(d))
-            frontier = t[(before >= 2) & (deg_v[t] <= 1)]
+            frontier = t.compress(deg_v[t] <= 1)
+            deg_v[one] = 0
         busy = np.zeros(L, dtype=bool)
         busy[frontier // S] = True
         if (done := np.flatnonzero(active > busy)).size:
@@ -485,11 +500,12 @@ class SimReport:
 # ru_maxrss in MB, the median of three fresh processes:
 #
 #   budget   C7 s           EX s             C7 / EX MB
-#   24,000   0.243 / 0.239  0.048 / 0.047    37.9 / 36.5
-#   36,000   0.231 / 0.238  0.048 / 0.048    38.7 / 36.9
-#   48,000   0.234 / 0.235  0.047 / 0.048    39.1 / 37.5
-#   72,000   0.242 / 0.242  0.045 / 0.043    40.3 / 38.9
+#   24,000   0.193 / 0.192  0.037 / 0.038    37.6 / 36.4
+#   36,000   0.185 / 0.184  0.036 / 0.036    38.6 / 37.1
+#   48,000   0.183 / 0.183  0.036 / 0.036    39.2 / 37.4
+#   72,000   0.178 / 0.183  0.035 / 0.035    40.4 / 38.6
 #
+# 48,000 is ~1 % faster on C7 in both sittings, for ~0.6 MB more ru_maxrss.
 # Batches of 48,000 bursts, each peeled until its slowest frame was done,
 # took 39.2 / 38.4 MB. C8's super-frames (26,000 slots) get _MIN_LANES lanes
 # at every budget: four lanes peel a C8 run ~2 % faster, at 1.1 MB more
@@ -504,15 +520,17 @@ def _trial_batch(ids, draw, n_slots, exact, seed):
     row 1 those peeling lost, row 2 those the decoder's result lost.
 
     Frame t (n_slots slots) is draw(rng=rng_stream(seed, t)): its rows, sorted by type, and
-    burst counts per type, which sample_*_frame wraps in a FrameGraph. The frames are drawn in
+    burst counts per type, which sample_*_frame wraps in a FrameGraph. The batch holds one
+    Philox, re-keyed to (seed, t) before each frame (core.rng_streams), which draws exactly
+    rng_stream(seed, t)'s numbers at a quarter of a new stream's cost. The frames are drawn in
     order into the rolling lanes of one union graph (see _lanes and _BATCH_BURSTS), and each
     evicted frame's losses are counted from its own lane, so the counts do not depend on the
     lanes."""
-    gens, trials = [], iter(ids)
+    gens, streams = [], rng_streams(seed, ids)
 
     def next_frame():  # a generator would hold its last frame until the next
-        if (t := next(trials, None)) is not None:
-            slots, by_type = draw(rng=rng_stream(seed, t))
+        if (rng := next(streams, None)) is not None:
+            slots, by_type = draw(rng=rng)
             gens.append(by_type)
             return slots
 

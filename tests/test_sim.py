@@ -20,7 +20,7 @@ from csaloha import (
     sample_block_frame,
     sample_coupled_frame,
 )
-from csaloha import sim
+from csaloha import core, sim
 from oracles import access_frames, dense_gje_decode, enumerate_recoverable, naive_peel
 
 
@@ -241,6 +241,25 @@ def test_batched_coupled_draws_are_the_sampled_frames(monkeypatch, topo, alpha):
     assert np.array_equal(counts[:, 0], np.array(want))
 
 
+def test_one_rekeyed_stream_draws_what_a_new_stream_draws():
+    # a batch re-keys one Philox per trial: each trial's draws (Poisson and
+    # Binomial counts, slot rows with their redraws at m=5, uniforms, and a
+    # 32-bit draw that leaves half a word buffered) are rng_stream's
+    def draws(rng):
+        return [
+            sim._draw_block(5, 1.5, 3, rng)[0].tolist(),
+            sim._draw_block(5, 1.5, 3, rng, alpha=4.0)[0].tolist(),
+            rng.random(2).tolist(),
+            float(rng.random(dtype=np.float32)),
+        ]
+
+    ids = [0, 7, 2**64 + 1, 7, 3]
+    for seed in (0, -5, 2**64 + 3):
+        got = [draws(rng) for rng in core.rng_streams(seed, ids)]
+        assert got == [draws(rng_stream(seed, t)) for t in ids]
+        assert got[1] == got[3] != got[4] and got[0][0] and got[0][1]
+
+
 def test_sample_coupled_frame_structure():
     topo = build_topology(3, 2)
     rng = rng_stream(5, 0)
@@ -305,6 +324,49 @@ def test_peel_chain_two_rounds():
     rep = peel(f)
     assert rep.recovered == frozenset({0, 1})
     assert rep.peel_iterations == 2
+
+
+# d=3 frames whose peel rounds are counted by hand: (rows, peel_iterations);
+# every burst is recovered
+CRAFTED_PEELS = [
+    # round 1 solves bursts 0, 1 and 3, and slot 0 falls 3 -> 1, so it enters
+    # the frontier twice; round 2 solves burst 2 through slots 0, 5 and 6
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6], [5, 6, 7]], 2),
+    # round 1 solves all three bursts and slot 0 falls 3 -> 0: it is round
+    # 2's whole frontier, which solves nothing and is still counted
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 2),
+    # burst 0 holds two degree-1 slots, 0 and 1, and is solved once in round
+    # 1; slots 2, 3 and 4 fall to 1, and round 2 solves burst 1
+    ([[0, 1, 2], [2, 3, 4], [3, 4, 5]], 2),
+]
+
+
+@pytest.mark.parametrize("rows,rounds", CRAFTED_PEELS)
+def test_crafted_peel_rounds(rows, rounds):
+    f = FrameGraph(n_slots=8, d=3, slots=np.array(rows))
+    rep, exact = peel(f), gje_decode(f)
+    assert rep.recovered == naive_peel(f) == frozenset(range(len(rows)))
+    assert rep.peel_iterations == exact.peel_iterations == rounds
+    assert (exact.recovered, exact.gje_rank, exact.inactivations) == (rep.recovered, len(rows), 0)
+
+
+def test_crafted_peels_in_rolling_lanes(monkeypatch):
+    # the same counts and sets in a multi-lane stream, beside frames that
+    # peel for longer and one that stalls; only the stalled frames reach the
+    # exact pass, so every slot a round solved is left at degree 0
+    frames = [FrameGraph(n_slots=8, d=3, slots=np.array(rows)) for rows, _ in CRAFTED_PEELS]
+    frames[1:1] = [sample_block_frame(8, 0.9, 3, rng_stream(1, t)) for t in range(3)]  # 4, 1 and 3 rounds
+    frames.append(FrameGraph(n_slots=8, d=3, slots=np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])))
+    alone = [(g.recovered, g.peeled, g.peel_iterations, g.gje_rank, g.inactivations) for g in map(gje_decode, frames)]
+    assert [alone[i][2] for i in (0, 4, 5)] == [rounds for _, rounds in CRAFTED_PEELS]
+    stalled = sum(len(a[1]) < f.n_active for f, a in zip(frames, alone))
+    calls, inactivate = [], sim._inactivate
+    monkeypatch.setattr(sim, "_inactivate", lambda *a: calls.append(a) or inactivate(*a))
+    for lanes in (2, 3, len(frames)):
+        assert _lane_views(frames, lanes, 8)[0] == alone
+        assert _lane_views(frames, lanes, 8, exact=False)[0] == [(p, p, r, None, None) for _, p, r, _, _ in alone]
+        assert len(calls) == stalled == 2
+        calls.clear()
 
 
 def test_peel_schedule_independence():
