@@ -225,8 +225,8 @@ def solve_load_bound(rate: float) -> float:
     inv_r = 1.0 / rate
     if inv_r <= 1.0:
         return 0.0
-    f = lambda g: g - 1.0 + math.exp(-g * inv_r)
-    if f(1e-12) >= 0.0:  # slope barely above 1: root collapses to 0
+    f = lambda g: g + math.expm1(-g * inv_r)  # not g - 1 + exp(-g/R), which cancels as R nears 1
+    if f(1e-12) >= 0.0:  # 1/R - 1 below ~5e-13: a root below the bracket's floor, read as 0
         return 0.0
     lo, hi, _ = bisect_load(lambda g: f(g) < 0.0, 1e-12, 1.0, 1e-15)
     root = 0.5 * (lo + hi)

@@ -18,43 +18,32 @@ from .core import CoupledTopology, as_int, build_topology, pool_map, pool_size, 
 
 @dataclass(eq=False)
 class FrameGraph:
-    """One sampled frame (or super-frame) instance.
-
-    slots has one row per active burst listing its d distinct slot indices
-    (0-indexed, global across the super-frame in the coupled case). user_type
-    holds the 1-indexed type of each burst for coupled instances, else None.
+    """One sampled frame (or super-frame) instance: slots has one row per
+    active burst listing its d distinct slot indices (0-indexed, global
+    across the super-frame in the coupled case). A frame is its slot rows;
+    a coupled burst's type follows from them (see sample_coupled_frame).
     """
 
     n_slots: int
     d: int
     slots: np.ndarray
-    user_type: np.ndarray | None = None
 
     def __post_init__(self):
         self.n_slots, self.d = as_int(self.n_slots, "n_slots"), as_int(self.d, "d")
         if self.n_slots < 1 or self.d < 1:
             raise ValueError(f"need at least one slot and d >= 1, got n_slots={self.n_slots}, d={self.d}")
-        slots = _as_index(self.slots, "slot indices")
+        slots = np.asarray(self.slots)
+        if slots.dtype.kind not in "biu" and (slots != np.floor(slots)).any():  # NaN too: refused, not truncated
+            raise ValueError("slot indices must be integers")
+        slots = slots.astype(np.int64, copy=False)
         self.slots = slots if slots.size else slots.reshape(0, self.d)
         if self.slots.shape[1:] != (self.d,):
             raise ValueError(f"slots must have shape (n, d={self.d}), got {self.slots.shape}")
-        _check_rows(self.slots, [self.n_active], [0], self.n_slots)
-        if self.user_type is not None:
-            self.user_type = _as_index(self.user_type, "user types")
-            if self.user_type.shape != (self.slots.shape[0],):
-                raise ValueError("user_type must hold one type per burst")
+        _check_rows(self.slots, self.n_slots)
 
     @property
     def n_active(self) -> int:
         return self.slots.shape[0]
-
-
-def _as_index(a, what: str) -> np.ndarray:
-    """a as an int64 array; a non-integral value is an error, not truncated."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "biu" and (a != np.floor(a)).any():  # NaN too
-        raise ValueError(f"{what} must be integers")
-    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -114,12 +103,9 @@ def _repeats_a_slot(slots: np.ndarray) -> np.ndarray:
     return clash
 
 
-def _check_rows(rows, n_of, lo, n_slots):
-    """Raise unless every row lists d distinct slots of its own frame f, lo[f]..lo[f]+n_slots-1."""
-    f = np.flatnonzero(n_of)  # the frames with rows, which start at flat[at]
-    at, flat, lo = (np.cumsum(n_of) - n_of)[f] * rows.shape[1], rows.ravel(), np.asarray(lo)[f]
-    low, high = (np.minimum.reduceat(flat, at), np.maximum.reduceat(flat, at)) if f.size else (f, f)
-    if (low < lo).any() or (high >= lo + n_slots).any():
+def _check_rows(rows, n_slots, lo=0):
+    """Raise unless every row lists d distinct slots of lo..lo+n_slots-1."""
+    if rows.size and (rows.min() < lo or rows.max() >= lo + n_slots):
         raise ValueError("slot indices out of range")
     if _repeats_a_slot(rows).any():
         raise ValueError("a burst lists the same slot twice")
@@ -130,11 +116,11 @@ def sample_coupled_frame(
 ) -> FrameGraph:
     """Draw one super-frame: type-i bursts place one uniform slot in each of
     frames i..i+d-1 (mod m_f); on the terminated chain the last d-1 frames
-    carry only copies. The bursts are sorted by type."""
+    carry only copies. The bursts are sorted by type. A type-i burst's first
+    slot lies in frame i (i <= l <= m_f, so it never wraps): its type is
+    slots[:, 0] // m + 1."""
     m = as_int(m, "m")
-    slots, counts = _draw_coupled(m, topo, g, rng, alpha)
-    types = np.repeat(np.arange(1, topo.l + 1), counts)
-    return FrameGraph(n_slots=m * topo.m_f, d=topo.d, slots=slots, user_type=types)
+    return FrameGraph(n_slots=m * topo.m_f, d=topo.d, slots=_draw_coupled(m, topo, g, rng, alpha)[0])
 
 
 def _draw_coupled(m, topo, g, rng, alpha=None):
@@ -157,7 +143,10 @@ def _draw_active(rng, g, m, alpha, size):
         raise ValueError(f"population alpha must be positive with alpha*m below 2**63, got {alpha} at m={m}")
     if g > alpha:
         raise ValueError(f"g={g} implies an activation probability above 1 at alpha={alpha}")
-    return rng.binomial(int(round(alpha * m)), g / alpha, size)
+    users = round(alpha * m)  # 1.1 * 50 is 55.00000000000001: integral up to float rounding
+    if not math.isclose(alpha * m, users, rel_tol=1e-12):
+        raise ValueError(f"population alpha*m must be an integer, got {alpha}*{m} = {alpha * m}")
+    return rng.binomial(users, g / alpha, size)
 
 
 def peel(frame: FrameGraph) -> DecodeReport:
@@ -209,12 +198,6 @@ def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
 #         32   0.287 / 0.299  0.184 / 0.189  7,204 / 1,104
 _CHECK_ROUNDS = 16
 
-# Bursts that one piece of a lane fill checks and counts in at once. A piece
-# of several lanes gathers its rows, 24 bytes a burst at d=3: filling three
-# C8 super-frames (~66k bursts) in one piece would lift the traced peak by
-# ~1.6 MB. A lane of its own is read in place.
-_FILL_BURSTS = 24_000
-
 
 def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     """Peel a stream of frames of one degree d in n_lanes rolling lanes of
@@ -232,12 +215,16 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     finished peeling. Those lanes are evicted together: each one's peeled
     mask is copied and a stalled frame is then finished by _inactivate, which
     leaves deg_v and acc_v as peeling left them: a refill rewrites the lane.
-    The next frames of the stream are drawn into the freed lanes, checked as
-    FrameGraph checks a frame, and their degree-1 slots join the frontier. A
-    frame larger than C grows every lane, and the ids of the bursts in flight
-    move with their lane. A frame's peel_iterations is the last round whose
-    frontier held one of its lane's slots, less the round at which it entered:
-    it gets that count, and everything else, as when decoded alone.
+    A fill resets the freed lanes, then draws the next frames of the stream
+    into them one at a time. Each frame's rows are copied into its lane and
+    read there in place: checked by _check_rows, as FrameGraph checks a
+    frame, and counted in with one add.at for the degrees and d for the id
+    sums, before the next frame is drawn. Then the new frames' degree-1 slots
+    join the frontier. A frame larger than C grows every lane, and the ids of
+    the bursts in flight move with their lane. A frame's peel_iterations is
+    the last round whose frontier held one of its lane's slots, less the
+    round at which it entered: it gets that count, and everything else, as
+    when decoded alone.
 
     A round keeps one copy of a burst that two frontier slots hold, without
     a sort: it writes each candidate's position into pos and keeps those
@@ -298,45 +285,33 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
 
     def fill(lanes):
         nonlocal d, drawn
-        pieces, held = [[]], 0  # the new frames' lanes, in pieces of at most _FILL_BURSTS bursts or one lane
+        deg2[lanes], acc2[lanes] = 0, 0
+        solved_v.reshape(L, C)[lanes] = 0
+        got = 0  # the lanes that drew a frame: lanes[:got]
         for i in lanes.tolist():
             if (slots := next_frame()) is None:
                 break
             if rows is None or len(slots) > C:
                 d, c = slots.shape[1], max(len(slots), C)
                 grow(c + 8 * math.isqrt(c))  # room for eight standard deviations of a Poisson count
-            np.add(slots, i * S, out=rows[i * C : i * C + len(slots)])
-            n[i] = len(slots)
-            if held and held + len(slots) > _FILL_BURSTS:
-                pieces, held = [*pieces, []], 0
-            pieces[-1].append(i)
-            held += len(slots)
+            t = rows[i * C : i * C + len(slots)]  # a lane's rows are contiguous: a view, not a gather
+            np.add(slots, i * S, out=t)
+            n[i], got = len(slots), got + 1
             del slots  # its rows live in the union now, not through the next draw
-        got = lanes[: sum(map(len, pieces))]  # the lanes that drew a frame
+            _check_rows(t, S, i * S)
+            np.add.at(deg_v, t.ravel(), 1)
+            ids = np.arange(i * C, i * C + len(t))
+            for j in range(d):
+                np.add.at(acc_v, t[:, j], ids)
+            del ids  # like slots, not held through the next draw
+        got = lanes[:got]
         active[lanes] = False
         active[got], entry[got], seq[got] = True, r, np.arange(drawn, drawn + got.size)
         drawn += got.size
-        deg2[got], acc2[got] = 0, 0
-        solved_v.reshape(L, C)[got] = 0
-        for piece in filter(None, pieces):
-            if len(piece) == 1:  # one lane's rows and slots are contiguous: views, not gathers
-                (i,) = piece
-                add(rows[i * C : i * C + n[i]], np.arange(i * C, i * C + n[i]), n[piece], [i * S])
-            else:
-                piece = np.array(piece)
-                n_of = n[piece]
-                ids = np.repeat(piece * C - np.cumsum(n_of) + n_of, n_of) + np.arange(n_of.sum())
-                add(rows.take(ids, 0), ids, n_of, piece * S)
         # e*S + s for slot s of lane got[e]; a gather of bools: one of the int64 degrees
         # raised sim-coupled's peak RSS by ~0.2 MB
         f = np.flatnonzero((deg2 == 1)[got])
         return f + ((got - np.arange(got.size)) * S)[f // S]
-
-    def add(t, ids, n_of, lo):  # check the rows t of bursts ids, n_of[e] of them in lane e, and count them in
-        _check_rows(t, n_of, lo, S)
-        np.add.at(deg_v, t.ravel(), 1)
-        for j in range(d):
-            np.add.at(acc_v, t[:, j], ids)
 
     def evict(lanes, fronts):
         def peel_rounds():  # until the stream resumes; a lane busy at the look before is in fronts
@@ -596,6 +571,8 @@ def run_trials(
     l = l if l is None else as_int(l, "l")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if m < 1:  # here, since a batch sizes its lanes by m before its first draw checks it
+        raise ValueError(f"need at least one slot per frame, got {m}")
     if (l is None) != (scenario == "block"):
         raise ValueError(f"coupled runs need a chain length l and block runs take none, got l={l}")
     if scenario == "block":

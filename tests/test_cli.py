@@ -252,6 +252,50 @@ def test_simulate_parameter_errors_exit_two(capsys):
     assert rc == 2
 
 
+def test_non_integral_population_is_a_parameter_error(capsys):
+    # 1.5 * 3 = 4.5 users was rounded to 4, so the run simulated 0.6675 bursts
+    # a slot and reported offered_g 0.75; 1.1 * 50 is integral up to rounding
+    argv = ["simulate", "block", "--d", "3", "--g", "0.75", "--trials", "4", "--seed", "1"]
+    rc, out, err = run_cli(capsys, *argv, "--slots", "3", "--alpha", "1.5")
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert "parameter error: population alpha*m must be an integer, got 1.5*3 = 4.5" in err
+    rc, out, _ = run_cli(capsys, *argv, "--slots", "50", "--alpha", "1.1")
+    assert rc == 0 and json.loads(out)["alpha"] == 1.1
+
+
+def test_slots_below_one_is_a_parameter_error(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "block", "--d", "3", "--g", "0.5", "--slots", "0", "--trials", "2")
+    assert rc == 2 and out == "" and "at least one slot per frame" in err and err.count("\n") == 1
+
+
+def test_malformed_thread_count_is_a_parameter_error(capsys, monkeypatch):
+    monkeypatch.setenv("CSA_THREADS", "abc")
+    rc, out, err = run_cli(capsys, "simulate", "block", "--d", "3", "--g", "0.5", "--slots", "100", "--trials", "2")
+    assert rc == 2 and out == ""
+    assert err == "csaloha: parameter error: CSA_THREADS must be an integer, got 'abc'\n"
+
+
+def test_thresholds_json_rows_equal_csv_rows(capsys):
+    argv = ["thresholds", "--d-max", "2", "--l", "10", "--tol", "1e-3"]
+    rc1, as_csv, _ = run_cli(capsys, *argv)
+    rc2, as_json, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc1 == rc2 == 0
+    rows = json.loads(as_json)
+    assert len(rows) == 1
+    want = [{k: f"{v:.10g}" if isinstance(v, float) else str(v) for k, v in row.items()} for row in rows]
+    assert list(csv.DictReader(io.StringIO(as_csv))) == want
+
+
+def test_sweep_degree_below_two_is_refused_before_any_row(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a row ran before the degrees were checked")
+
+    monkeypatch.setattr(cli, "_row", fail)
+    rc, out, err = run_cli(capsys, "sweep", "--d-list", "1,3")
+    assert rc == 2 and out == ""
+    assert err == "csaloha: parameter error: sweep needs degrees >= 2, got [1, 3]\n"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "row.csv"
     rc, out, _ = run_cli(capsys, "bound", "--d", "3", "--format", "csv", "--out", str(path))

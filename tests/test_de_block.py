@@ -147,6 +147,18 @@ def test_solve_load_bound_matches_oracle(d):
     assert abs(g - 1.0 + math.exp(-g * d)) <= 1e-12
 
 
+@pytest.mark.parametrize("rate", [0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999])
+def test_solve_load_bound_near_rate_one_matches_mpmath(rate):
+    # the root is ~2(1/R - 1); G - 1 + e^{-G/R} cancels there: it lost 5.7e-10
+    # of the root at R = 0.9999 and returned 0.0 from R = 0.99999 on
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    r = mp.mpf(rate)  # the float's exact value
+    root = mp.findroot(lambda g: g - 1 + mp.exp(-g / r), 2 * (1 / r - 1))
+    assert solve_load_bound(rate) == pytest.approx(float(root), rel=1e-9, abs=0)
+
+
 def test_solve_load_bound_degenerate_rate_one():
     assert solve_load_bound(1.0) == 0.0
 

@@ -40,8 +40,6 @@ def test_frame_graph_validation():
     with pytest.raises(ValueError):
         FrameGraph(n_slots=4, d=2, slots=np.array([[0, 4]]))
     with pytest.raises(ValueError):
-        FrameGraph(n_slots=4, d=2, slots=np.array([[0, 1]]), user_type=np.array([1, 2]))
-    with pytest.raises(ValueError):
         FrameGraph(n_slots=0, d=1, slots=np.zeros((0, 1)))
     # a degree below 1 is refused: d=0 would drop its three bursts, and d=-1
     # would reach numpy's reshape
@@ -53,12 +51,10 @@ def test_frame_graph_validation():
         FrameGraph(n_slots=3, d=2, slots=[[0.7, 1.9]])
     with pytest.raises(ValueError, match="slot indices must be integers"):
         FrameGraph(n_slots=3, d=2, slots=[[np.nan, 1.0]])
-    with pytest.raises(ValueError, match="user types must be integers"):
-        FrameGraph(n_slots=3, d=2, slots=[[0, 1]], user_type=[1.5])
     # integral floats and empty float arrays stay valid
-    f = FrameGraph(n_slots=3, d=2, slots=np.array([[0.0, 2.0]]), user_type=np.array([1.0]))
-    assert f.slots.dtype == f.user_type.dtype == np.int64
-    assert f.slots.tolist() == [[0, 2]] and f.user_type.tolist() == [1]
+    f = FrameGraph(n_slots=3, d=2, slots=np.array([[0.0, 2.0]]))
+    assert f.slots.dtype == np.int64
+    assert f.slots.tolist() == [[0, 2]]
     assert FrameGraph(n_slots=3, d=2, slots=np.zeros((0, 2))).slots.shape == (0, 2)
     assert FrameGraph(n_slots=3, d=3, slots=[]).slots.shape == (0, 3)
     # slots must already be (n, d): a row of 2d slots is not two bursts, a
@@ -187,9 +183,9 @@ def _spy_fills(monkeypatch):
     rows, with each frame's lane offset taken off again."""
     seen, check = [], sim._check_rows
 
-    def spy(rows, n_of, lo, n_slots):
-        seen.append(rows - np.repeat(lo, n_of)[:, None])
-        return check(rows, n_of, lo, n_slots)
+    def spy(rows, n_slots, lo=0):
+        seen.append(rows - lo)
+        return check(rows, n_slots, lo)
 
     monkeypatch.setattr(sim, "_check_rows", spy)
     return seen
@@ -230,14 +226,15 @@ def test_batched_coupled_draws_are_the_sampled_frames(monkeypatch, topo, alpha):
     # frame's slots and the bincount of its user types, which never decrease
     m, g, seed, trials = 8, 0.9, 5, 10
     frames = [sample_coupled_frame(m, topo, g, rng_stream(seed, t), alpha=alpha) for t in range(trials)]
-    assert all((np.diff(f.user_type) >= 0).all() for f in frames)
+    types = [f.slots[:, 0] // m + 1 for f in frames]
+    assert all((np.diff(u) >= 0).all() for u in types)
     monkeypatch.setattr(sim, "_BATCH_BURSTS", 100)
     seen = _spy_fills(monkeypatch)
     n_slots = m * topo.m_f
     counts = sim._trial_batch(range(trials), partial(sim._draw_coupled, m, topo, g, alpha=alpha), n_slots, False, seed)
     assert len(seen) > 1
     assert np.array_equal(np.concatenate(seen), np.concatenate([f.slots for f in frames]))
-    want = [np.bincount(f.user_type, minlength=topo.l + 1)[1:] for f in frames]
+    want = [np.bincount(u, minlength=topo.l + 1)[1:] for u in types]
     assert np.array_equal(counts[:, 0], np.array(want))
 
 
@@ -265,11 +262,12 @@ def test_sample_coupled_frame_structure():
     rng = rng_stream(5, 0)
     f = sample_coupled_frame(4, topo, 2.0, rng)
     assert f.n_slots == 16  # 4 frames of 4 slots
-    for row, t in zip(f.slots, f.user_type):
+    types = f.slots[:, 0] // 4 + 1
+    for row, t in zip(f.slots, types):
         frames = sorted(int(s) // 4 for s in row)
         assert frames == [t - 1, t]  # one copy in its frame, one in the next
     # the last frame carries only copies: no type-4 users exist
-    assert f.user_type.max() <= 3
+    assert types.max() <= 3
 
 
 def test_sample_coupled_frame_wraps_on_circulant_topology():
@@ -277,8 +275,9 @@ def test_sample_coupled_frame_wraps_on_circulant_topology():
     l, d, m = 5, 3, 6
     f = sample_coupled_frame(m, build_circulant_topology(l, d), 3.0, rng_stream(4, 0))
     assert f.n_slots == l * m
-    assert set(f.user_type.tolist()) == set(range(1, l + 1))
-    for row, t in zip(f.slots, f.user_type):
+    types = f.slots[:, 0] // m + 1
+    assert set(types.tolist()) == set(range(1, l + 1))
+    for row, t in zip(f.slots, types):
         assert sorted(int(s) // m for s in row) == sorted(j - 1 for j in access_frames(int(t), l, d, wrap=True))
 
 
@@ -606,20 +605,6 @@ def test_rolling_lanes_match_each_frame_decoded_alone(monkeypatch):
         assert counts.tolist() == want
 
 
-def test_a_fill_counts_its_frames_in_pieces(monkeypatch):
-    # a piece of several lanes is gathered at once, so a fill splits its new
-    # frames into pieces of at most _FILL_BURSTS bursts, or of one frame
-    frames = [sample_block_frame(60, g, 3, rng_stream(9, t)) for t, g in enumerate([0.9] * 11 + [2.5])]
-    held = iter([(f.slots, np.array([f.n_active])) for f in frames])
-    pieces, check = [], sim._check_rows
-    monkeypatch.setattr(sim, "_check_rows", lambda rows, n_of, *a: pieces.append(list(n_of)) or check(rows, n_of, *a))
-    monkeypatch.setattr(sim, "_FILL_BURSTS", 100)
-    monkeypatch.setattr(sim, "_BATCH_BURSTS", 10**9)
-    sim._trial_batch(range(len(frames)), lambda rng: next(held), 60, False, 0)
-    assert sum(pieces, []) == [f.n_active for f in frames] and frames[-1].n_active > 100
-    assert len(pieces) > 3 and all(sum(p) <= 100 or len(p) == 1 for p in pieces)
-
-
 def test_slot_id_sums_decode_crowded_slots():
     # each slot's accumulator holds the sum of its unresolved burst ids, which
     # names the burst only once the slot is down to degree 1: d=8 frames of
@@ -872,8 +857,9 @@ def test_run_trials_per_trial_values_match_a_replay():
         peeled, exact = peel(frame).recovered, gje_decode(frame).recovered
         extra.append(len(exact - peeled))
         unrec = [b for b in range(frame.n_active) if b not in peeled]
-        gen += np.bincount(frame.user_type - 1, minlength=l)
-        lost += np.bincount(frame.user_type[unrec] - 1, minlength=l)
+        types = frame.slots[:, 0] // m + 1
+        gen += np.bincount(types - 1, minlength=l)
+        lost += np.bincount(types[unrec] - 1, minlength=l)
     assert len(set(extra)) > 1  # the per-trial values differ, so order shows
     assert rep.gje_extra_recovered == tuple(extra)
     assert rep.per_position_plr == tuple(float(x) / y for x, y in zip(lost, gen))
@@ -900,6 +886,53 @@ def test_run_trials_validation():
     # a whole number of another type is taken, and reported, as an int
     whole = dict(m=50.0, d=np.int64(3), g=0.5, trials=3.0, seed=np.float64(1))
     assert run_trials("block", **whole).to_dict() == run_trials("block", **ok).to_dict()
+
+
+def test_sampler_refusals_reach_run_trials():
+    # a degree below 1 and a frame of no slots are refused by the samplers and
+    # by run_trials (where m=0 used to divide by zero while sizing the lanes)
+    rng, topo = rng_stream(0, 0), build_topology(4, 3)
+    with pytest.raises(ValueError, match="repetition degree must be >= 1"):
+        sample_block_frame(10, 0.5, 0, rng)
+    with pytest.raises(ValueError, match="repetition degree must be >= 1"):
+        run_trials("block", m=10, d=0, g=0.5, trials=2, seed=0)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="need at least one slot per frame"):
+            sample_coupled_frame(m, topo, 0.5, rng)
+        for scenario, l in (("coupled", 4), ("block", None)):
+            with pytest.raises(ValueError, match="need at least one slot per frame"):
+                run_trials(scenario, m=m, d=3, g=0.5, trials=2, seed=0, l=l)
+
+
+def test_a_non_integral_population_is_refused():
+    # binomial(round(alpha*m), g/alpha) simulated 0.6675 bursts a slot at
+    # g=0.75, alpha=1.5, m=3 (4.5 users rounded to 4) and 0.803 at m=5 (7.5 to 8)
+    rng, topo = rng_stream(0, 0), build_topology(4, 3)
+    refused = partial(pytest.raises, ValueError, match=r"population alpha\*m must be an integer")
+    for m in (3, 5):
+        with refused():
+            sample_block_frame(m, 0.75, 3, rng, alpha=1.5)
+        with refused():
+            sample_coupled_frame(m, topo, 0.75, rng, alpha=1.5)
+        with refused():
+            run_trials("block", m=m, d=3, g=0.75, alpha=1.5, trials=4, seed=1)
+        with refused():
+            run_trials("coupled", m=m, d=3, g=0.75, alpha=1.5, trials=4, seed=1, l=4)
+    # integral up to float rounding, from either side: the round(alpha*m) users are drawn
+    assert (1.1 * 50, 1.4 * 45) == (55.00000000000001, 62.99999999999999)
+    for alpha, m, users in ((1.1, 50, 55), (1.4, 45, 63)):
+        for t in range(3):
+            counts = sim._draw_active(rng_stream(2, t), 0.5, m, alpha, 40)
+            assert counts.tolist() == rng_stream(2, t).binomial(users, 0.5 / alpha, 40).tolist()
+    rep = run_trials("coupled", m=50, d=3, g=0.5, alpha=1.1, trials=4, seed=2, l=4)
+    assert rep.alpha == 1.1 and rep.n_bursts > 0
+
+
+def test_frame_graph_refuses_what_a_batch_refuses():
+    # FrameGraph and a batch's lane fill make one check, with one message each
+    for bad, match in (([[0, 4]], "out of range"), ([[-1, 0]], "out of range"), ([[2, 2]], "same slot twice")):
+        with pytest.raises(ValueError, match=match):
+            FrameGraph(n_slots=4, d=2, slots=np.array(bad))
 
 
 # sha256 of json.dumps(run_trials(scenario, seed=s, decoder=dec, **kw).to_dict(),
