@@ -178,14 +178,20 @@ def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, flo
     return lo, hi, evals
 
 
+def _search_tol(d: int, tol: float) -> float:
+    """tol, after refusing a degree below 2 and a tolerance outside (0, 1.2),
+    the width of the search bracket [0, 1.2], which it would return untouched."""
+    if (d := as_int(d, "repetition degree d")) < 2:
+        raise ValueError(f"threshold search needs d >= 2, got {d}")
+    if not 0.0 < tol < 1.2:
+        raise ValueError(f"bisection tolerance must be > 0 and below the bracket width 1.2, got {tol}")
+    return tol
+
+
 def threshold(d: int, converges, tol: float) -> ThresholdResult:
     """The threshold of a degree-d scheme: the largest load G in [0, 1.2] at
     which converges(G) holds, by bisection to width tol."""
-    if (d := as_int(d, "repetition degree d")) < 2:
-        raise ValueError(f"threshold search needs d >= 2, got {d}")
-    if tol >= 1.2:  # the bracket would come back untouched
-        raise ValueError(f"bisection tolerance must be below the bracket width 1.2, got {tol}")
-    lo, hi, evals = bisect_load(converges, 0.0, 1.2, tol)
+    lo, hi, evals = bisect_load(converges, 0.0, 1.2, _search_tol(d, tol))
     return ThresholdResult(0.5 * (lo + hi), lo, hi, evals)
 
 
@@ -267,14 +273,15 @@ class _CoupledKernel:
     sum is d-1 full-length adds; the row's other entries are never written
     and hold -0.0, which adds nothing, not even to a zero: x + -0.0 = x.
     (With +0.0, a zero sum at even d, -0.0, would turn +0.0, and q would
-    come out -0.0.) At d >= 3 each step first forms pair[x] = r[x]*r[x+1]
-    over the previous row: its windows at 0 and d-2 are the first prefix
-    product w0*w1 and the first suffix product w_{d-1}*w_{d-2}. At d=3
-    these are the messages toward the last and the first frame, so both
-    are windows of the -0.0-padded pair buffer. At d=2 the messages are
-    the previous row itself, whose history row has a -0.0 column on each
-    side (advance negates whole rows, then resets those columns). Other
-    messages have rows of their own; msgs holds the d messages of step 1.
+    come out -0.0.) At d=2 each message is one entry of the previous row,
+    and a step copies both into their rows. At d >= 3 each step first forms
+    pair[x] = r[x]*r[x+1] over the previous row: its windows at 0 and d-2
+    are the first prefix product w0*w1 and the first suffix product
+    w_{d-1}*w_{d-2}. At d=3 these are the messages toward the last and the
+    first frame, so both are windows of the -0.0-padded pair buffer. Other
+    messages have rows of their own; msgs holds the d messages as the last
+    step wrote them. The messages, sums and folds are the same arrays at
+    every step; only the windows of the previous row move.
     A two-factor product commutes exactly, negation is exact and rounding
     symmetric in sign, so every iterate keeps its bits.
     """
@@ -289,30 +296,27 @@ class _CoupledKernel:
         pair = np.full(n + 3, -0.0)  # pair[x] = r[x]*r[x+1] at column x+2
         q_sum = own[0] if d == 1 else np.empty(n)
         q_head = q_sum[:m_f]
-        hist = np.full((_BLOCK + 1, n + 2), -0.0)  # r rows at columns 1..n
+        hist = np.zeros((_BLOCK + 1, n))  # the block's rows of r = -p, extended on a circulant
         self.q = np.empty((_BLOCK, m_f))  # q[t-1]: per-position average of step t's incoming messages
-        self.p = hist[:, 1 : m_f + 1]
-        self._hist, self._r, self._last, self._delta, self._neg_g_delta = hist, hist[:, 1:-1], 0, delta, neg_g_delta
+        self.p = hist[:, :m_f]
+        self._hist, self._last, self._delta, self._neg_g_delta = hist, 0, delta, neg_g_delta
         mul, add = np.multiply, np.add
         # at d=3 the end messages are windows of the pair product
         rows = [pair[3 : n + 3], own[1], pair[:n]] if d == 3 else list(own)
+        m = [rows[k][k : k + l] for k in range(d)]  # m[k][i]: message of type i+1 toward its k-th frame
+        self.msgs = tuple(m)
+        # each frame adds its types in increasing order, i.e. by decreasing k
+        sums = [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
+        if topo.wrap:
+            sums += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
         pair0, pair_s = pair[2 : l + 2], pair[d : d + l]  # w[0]*w[1] and w[d-2]*w[d-1]
         self._calls = []  # _calls[t-1]: the (ufunc, args) pairs of step t
-        for prev, r_row, r, q in zip(hist, self._r[1:], self.p[1:], self.q):
-            w = [prev[k + 1 : k + 1 + l] for k in range(d)]
-            if d == 2:  # the messages are the previous row, between its -0.0 columns
-                rows = [prev[2 : n + 2], prev[:n]]
-            if d == 2 or not self._calls:  # else the messages, sums and folds are the same at every step
-                m = [rows[k][k : k + l] for k in range(d)]  # m[k][i]: message of type i+1 toward its k-th frame
-                if not self._calls:
-                    self.msgs = tuple(m)  # the messages of step 1
-                # each frame adds its types in increasing order, i.e. by decreasing k
-                sums = [(add, (rows[k + 1] if k == d - 2 else q_sum, rows[k], q_sum)) for k in range(d - 2, -1, -1)]
-                if topo.wrap:
-                    sums += [(add, (q_sum[:k], m[k][l - k :], q_sum[:k])) for k in range(d - 1, 0, -1)]
-            calls = []
+        for prev, row, r, q in zip(hist, hist[1:], self.p[1:], self.q):
+            w = [prev[k : k + l] for k in range(d)]
+            # at d=2 the message toward each frame is the other frame's entry
+            calls = [(np.copyto, (m[0], w[1])), (np.copyto, (m[1], w[0]))] if d == 2 else []
             if d > 2:
-                calls.append((mul, (prev[1:n], prev[2 : n + 1], pair[2 : n + 1])))
+                calls.append((mul, (prev[: n - 1], prev[1:n], pair[2 : n + 1])))
                 prefix = [w[0], pair0] + m[3:]  # prefix[j] = w[0]*...*w[j]
                 # prefix products left to right, m[k] = w[0]*...*w[k-1] ...
                 calls += [(mul, (prefix[k - 2], w[k - 1], m[k])) for k in range(3, d)]
@@ -325,15 +329,15 @@ class _CoupledKernel:
                     right = m[0]
             calls += sums + [(np.divide, (q_head, signed_delta, q)), (mul, (neg_g_delta, q, r)), (np.expm1, (r, r))]
             if topo.wrap:
-                calls.append((np.copyto, (r_row[m_f:], r_row[: n - m_f])))
+                calls.append((np.copyto, (row[m_f:], row[: n - m_f])))
             self._calls.append(calls)
 
     def start(self, g: float, p0: np.ndarray | float = 1.0) -> "_CoupledKernel":
         """Set the load to g and the iterate before the first step to p0."""
         np.multiply(self._delta, -g, out=self._neg_g_delta)
-        r, m_f = self._r, self.p.shape[1]
+        hist, m_f = self._hist, self.p.shape[1]
         np.copyto(self.p[0], p0)
-        r[0, m_f:] = r[0, : r.shape[1] - m_f]
+        hist[0, m_f:] = hist[0, : hist.shape[1] - m_f]
         self._last = 0
         return self
 
@@ -341,13 +345,12 @@ class _CoupledKernel:
         """n <= _BLOCK parallel (flooding) updates; returns their n rows of q
         and n+1 rows of p, row 0 being the iterate before them."""
         hist = self._hist
-        np.negative(self._r[self._last], self._r[0])  # r of the iterate before the block (p0 at the first call)
+        np.negative(hist[self._last], hist[0])  # r of the iterate before the block (p0 at the first call)
         self._last = n
         for calls in self._calls[:n]:
             for f, args in calls:
                 f(*args)
         np.negative(hist[: n + 1], hist[: n + 1])  # whole rows: one contiguous pass
-        hist[: n + 1, :: hist.shape[1] - 1] = -0.0  # the pad columns it turned +0.0
         return self.q[:n], self.p[: n + 1]
 
 
@@ -370,7 +373,19 @@ def coupled_threshold(
     cfg: BlockDeConfig = BlockDeConfig(),
     bisect_tol: float = 1e-4,
 ) -> ThresholdResult:
-    """Threshold search with coupled-DE convergence on the l-chain as the predicate.
+    """Threshold search with coupled-DE convergence on the l-chain as the
+    predicate, or at d=2 its exact value g_c = 1/(2 cos(pi/(l+2))), returned
+    as a zero-width bracket after no DE run.
+
+    At d=2 each message is one entry of p, so the sum into each frame is
+    linear, S = A p, with A the adjacency matrix of the path on the l+1
+    frames, and a step is p' = 1 - e^{-g S}. Since 1 - e^{-x} <= x, the
+    iterates from all ones stay below (gA)^t 1, which goes to 0 when
+    g rho(A) < 1, where rho(A) = 2 cos(pi/(l+2)). When g rho(A) > 1, y = s v
+    with v_k = sin(pi k/(l+2)), the Perron vector, gives f(y) >= y for small
+    s > 0, and since f is monotone every iterate stays >= y: the run never
+    reaches the target. (A bisection over DE runs lands 5e-5 to 7e-5 below
+    g_c: the stop rule reads the slow runs just below it as failures.)
 
     The default bisect_tol is looser than the block one because each coupled
     run costs m_f positions per iteration and near-threshold runs are long.
@@ -383,7 +398,12 @@ def coupled_threshold(
     and f_g^{t+T}(1) <= f_g^t(p_T) <= f_g^t(1): a warm run is never behind
     de_coupled_run's cold one, and it reaches the same limit.
     """
-    kernel = _CoupledKernel(build_topology(l, d))
+    topo = build_topology(l, d)
+    if topo.d == 2:
+        _search_tol(2, bisect_tol)
+        g_c = 0.5 / math.cos(math.pi / (topo.l + 2))
+        return ThresholdResult(g_c, g_c, g_c, 0)
+    kernel = _CoupledKernel(topo)
     p0 = np.ones(kernel.p.shape[1])
 
     def converges(g):

@@ -7,6 +7,10 @@ Commands:
   sweep       rate sweep (R = 1/d) of the block/coupled thresholds and G*
   simulate    Monte Carlo packet-loss run (block or coupled), JSON report
 
+The block column of thresholds and sweep is the closed form, and so is the
+coupled column at d=2; --tol and --max-iters set the coupled column's
+density-evolution search at d >= 3.
+
 Exit codes: 0 success, 2 parameter error (or an unwritable --out), 3 numerical failure.
 The CSA_THREADS environment variable sets the worker count used to fan out
 independent rows / trial batches (default 1). The pool never has more
@@ -28,7 +32,7 @@ from .analysis import (
     AreaSolutionError,
     BlockDeConfig,
     ThresholdBracketError,
-    block_threshold,
+    block_threshold_grid,
     coupled_threshold,
     efficiency,
     map_load_bound,
@@ -50,16 +54,16 @@ def _workers() -> int:
 
 
 def _row(task) -> dict:
-    """Every column of a thresholds or sweep row for one degree."""
+    """Every column of a thresholds or sweep row for one degree; only the
+    coupled column runs density evolution (a search, at d >= 3)."""
     d, l, params, tol, max_iters = task
     cfg = BlockDeConfig() if max_iters is None else BlockDeConfig(max_iters=max_iters)
-    g_block = block_threshold(d, cfg, 1e-5 if tol is None else tol).threshold
     g_coupled = coupled_threshold(d, l, cfg, 1e-4 if tol is None else tol).threshold
     g_star = solve_load_bound(1.0 / d)
     return {
         "d": d,
         "rate": 1.0 / d,
-        "g_it_block": g_block,
+        "g_it_block": block_threshold_grid(d),
         "g_it_coupled": g_coupled,
         "g_map_bound": map_load_bound(params),
         "g_star": g_star,
@@ -165,10 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     def de_opts(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="bisection tolerance (default: 1e-5 for the block column, 1e-4 for the coupled column)")
+        p.add_argument("--tol", type=float, default=None, help="tolerance of the coupled search (default 1e-4)")
         p.add_argument("--max-iters", type=int, default=None,
-                       help="iteration cap of each density-evolution run (default: 1e5)")
+                       help="iteration cap of each density-evolution run of the coupled search (default 1e5)")
 
     p = sub.add_parser("bound", help="load bound G* for rate R = 1/d")
     p.add_argument("--d", type=int, required=True)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from csaloha import ThresholdBracketError, analysis, block_threshold, cli, solve_load_bound
+from csaloha import ThresholdBracketError, analysis, block_threshold_grid, cli, solve_load_bound
 from csaloha.cli import main
 
 
@@ -48,7 +48,7 @@ def test_sweep_row_matches_library(capsys):
     assert header == "rate,g_it_block,g_it_coupled,g_star"
     rate, g_block, g_coupled, g_star = (float(tok) for tok in row.split(","))
     assert rate == pytest.approx(1 / 3, abs=1e-9)
-    assert g_block == pytest.approx(block_threshold(3, bisect_tol=1e-3).threshold, abs=1e-9)
+    assert g_block == pytest.approx(block_threshold_grid(3), abs=1e-9)
     assert g_star == pytest.approx(solve_load_bound(1 / 3), abs=1e-9)
     assert g_coupled > g_block
 
@@ -59,14 +59,24 @@ def test_thresholds_d_max_guard(capsys):
 
 
 def test_thresholds_tolerance_below_float_spacing(capsys):
-    # each bisection stops at adjacent floats instead of looping forever
+    # the coupled bisection at d=3 stops at adjacent floats instead of looping forever
     t0 = time.monotonic()
     rc, out, _ = run_cli(
-        capsys, "thresholds", "--d-max", "2", "--l", "20", "--tol", "1e-20", "--max-iters", "200"
+        capsys, "thresholds", "--d-max", "3", "--l", "20", "--tol", "1e-20", "--max-iters", "200"
     )
     assert rc == 0 and time.monotonic() - t0 < 10.0
     vals = out.strip().splitlines()[1].split(",")
     assert float(vals[3]) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_block_column_is_the_closed_form(capsys):
+    # the block column runs no density evolution: --tol and --max-iters leave it alone
+    columns = []
+    for extra in (["--tol", "0.1", "--max-iters", "50"], ["--tol", "1e-3", "--max-iters", "2000"]):
+        rc, out, _ = run_cli(capsys, "thresholds", "--d-max", "8", "--l", "10", *extra)
+        assert rc == 0
+        columns.append([row.split(",")[1] for row in out.strip().splitlines()[1:]])
+    assert columns[0] == columns[1] == [f"{block_threshold_grid(d):.10g}" for d in range(2, 9)]
 
 
 @pytest.mark.parametrize(

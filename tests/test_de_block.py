@@ -163,6 +163,15 @@ def test_solve_load_bound_degenerate_rate_one():
     assert solve_load_bound(1.0) == 0.0
 
 
+def test_solve_load_bound_root_below_the_bracket_floor_reads_zero():
+    # the root ~2(1/R - 1) falls below the bracket's floor 1e-12 at R = 1 - 1e-13,
+    # and lies just above it at R = 1 - 1e-12
+    assert solve_load_bound(1.0 - 1e-13) == 0.0
+    rate = 1.0 - 1e-12
+    g = solve_load_bound(rate)
+    assert g > 0.0 and g == pytest.approx(2.0 * (1.0 / rate - 1.0), rel=1e-3, abs=0)
+
+
 def test_solve_load_bound_rejects():
     for rate in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):

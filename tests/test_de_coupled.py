@@ -98,6 +98,37 @@ def test_coupled_threshold_validation():
         coupled_threshold(3, l=0)
 
 
+@pytest.mark.parametrize("l", [10, 30, 200])
+def test_coupled_threshold_d2_is_the_linear_bound(l):
+    g_c = 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
+    res = coupled_threshold(2, l)
+    assert abs(res.threshold - g_c) <= 1e-12
+    assert (res.bracket_lo, res.bracket_hi, res.evaluations) == (res.threshold, res.threshold, 0)
+
+
+def _is_certificate(topo, g, y):
+    """One kernel step gives f(y) >= y with max y above TARGET_P: no run from
+    all ones reaches the target at g (the computed map is monotone)."""
+    fy = _CoupledKernel(topo).start(g, y).advance(1)[1][1]
+    return bool(np.all(fy >= y)) and y.max() > TARGET_P
+
+
+def test_coupled_d2_linear_bound_from_both_sides():
+    # below g_c density evolution reaches the target ...
+    l = 30
+    g_c = 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
+    res = de_coupled_run(build_topology(l, 2), g_c - 1e-3)
+    assert res.stop_reason == "target" and res.iterations < 10_000
+    # ... and above it a small multiple of the Perron vector is a certificate
+    # that it never does, while a large one, beyond the linear regime, is not
+    for l in (10, 20, 30, 200):
+        topo, g_c = build_topology(l, 2), 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
+        v = np.sin(np.pi * np.arange(1, l + 2) / (l + 2))
+        assert _is_certificate(topo, g_c + 1e-4, 1e-4 * v), l
+        assert not _is_certificate(topo, g_c + 1e-4, 1e-2 * v), l
+        assert not _is_certificate(topo, g_c - 1e-4, 1e-4 * v), l
+
+
 def test_termination_adjusted_load():
     assert termination_adjusted_load(0.9, 200, 3) == pytest.approx(0.9 * 200 / 202)
     assert termination_adjusted_load(0.9, 10**6, 3) == pytest.approx(0.9, abs=1e-5)
@@ -179,7 +210,7 @@ def test_a_coupled_search_builds_one_kernel(monkeypatch):
     builds, init = [], _CoupledKernel.__init__
     monkeypatch.setattr(_CoupledKernel, "__init__", lambda self, *a: builds.append(a) or init(self, *a))
     cfg = BlockDeConfig(max_iters=5_000)
-    for d, l in ((2, 20), (3, 30), (4, 12)):
+    for d, l in ((3, 30), (4, 12), (5, 10)):
         builds.clear()
         got = coupled_threshold(d, l, cfg, bisect_tol=1e-3)
         assert len(builds) == 1 and got.evaluations > 5
@@ -253,9 +284,9 @@ def test_warm_run_is_sandwiched_by_the_cold_run(d, thr):
 
 # (bracket_lo, bracket_hi, DE iterations) of the warm search at l=20, tol
 # 1e-4 and a 5000 cap. The cold search's capped probes hold it one bracket
-# lower at d=2..4 and cost it 25,131 iterations at d=3, against 23,902.
+# lower at d=3 and 4 and cost it 25,131 iterations at d=3, against 23,902.
+# d=2 runs no search (test_coupled_threshold_d2_is_the_linear_bound).
 _WARM_SEARCHES = {
-    2: (0.5038330078125, 0.5039062499999999, 14382),
     3: (0.9179443359374999, 0.918017578125, 23902),
     4: (0.9766845703124998, 0.9767578124999998, 23391),
     5: (0.9922119140624999, 0.9922851562499999, 16976),
@@ -313,11 +344,11 @@ def test_run_from_zeros_has_no_negative_zero(d):
 
 
 # numpy calls per coupled step, (terminated chain, circulant): 3(d-2) - 1
-# extrinsic products (none at d=2, whose messages are views of the previous
-# iterate), d-1 sums, and q and p in three; a circulant adds d-1 folds and the
-# copy of its extension. Numpy's per-call overhead sets the cost of a step,
-# so a call put back shows here.
-_CALLS_PER_STEP = {2: (4, 6), 3: (7, 10), 4: (11, 15), 5: (15, 20), 6: (19, 25), 7: (23, 30), 8: (27, 35)}
+# extrinsic products at d >= 3 (at d=2 two copies of the previous iterate),
+# d-1 sums, and q and p in three; a circulant adds d-1 folds and the copy of
+# its extension. Numpy's per-call overhead sets the cost of a step, so a call
+# put back shows here.
+_CALLS_PER_STEP = {2: (6, 8), 3: (7, 10), 4: (11, 15), 5: (15, 20), 6: (19, 25), 7: (23, 30), 8: (27, 35)}
 
 
 def test_step_call_count_pinned():
