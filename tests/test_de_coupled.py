@@ -98,9 +98,14 @@ def test_coupled_threshold_validation():
         coupled_threshold(3, l=0)
 
 
+def _g_c(l):
+    """The d=2 coupled threshold of the l-chain: 1/rho(A), A the path's adjacency matrix."""
+    return 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
+
+
 @pytest.mark.parametrize("l", [10, 30, 200])
 def test_coupled_threshold_d2_is_the_linear_bound(l):
-    g_c = 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
+    g_c = _g_c(l)
     res = coupled_threshold(2, l)
     assert abs(res.threshold - g_c) <= 1e-12
     assert (res.bracket_lo, res.bracket_hi, res.evaluations) == (res.threshold, res.threshold, 0)
@@ -115,14 +120,12 @@ def _is_certificate(topo, g, y):
 
 def test_coupled_d2_linear_bound_from_both_sides():
     # below g_c density evolution reaches the target ...
-    l = 30
-    g_c = 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
-    res = de_coupled_run(build_topology(l, 2), g_c - 1e-3)
+    res = de_coupled_run(build_topology(30, 2), _g_c(30) - 1e-3)
     assert res.stop_reason == "target" and res.iterations < 10_000
     # ... and above it a small multiple of the Perron vector is a certificate
     # that it never does, while a large one, beyond the linear regime, is not
     for l in (10, 20, 30, 200):
-        topo, g_c = build_topology(l, 2), 1.0 / (2.0 * math.cos(math.pi / (l + 2)))
+        topo, g_c = build_topology(l, 2), _g_c(l)
         v = np.sin(np.pi * np.arange(1, l + 2) / (l + 2))
         assert _is_certificate(topo, g_c + 1e-4, 1e-4 * v), l
         assert not _is_certificate(topo, g_c + 1e-4, 1e-2 * v), l
