@@ -243,8 +243,8 @@ def solve_load_bound(rate: float) -> float:
 
 def efficiency(g_conv: float, g_star: float) -> float:
     """Normalized efficiency: ratio of an achieved threshold to the load bound."""
-    if g_star <= 0.0:
-        raise ValueError(f"load bound must be positive, got {g_star}")
+    if not 0.0 < g_star < math.inf:  # NaN too
+        raise ValueError(f"load bound must be positive and finite, got {g_star}")
     return g_conv / g_star
 
 
@@ -420,7 +420,8 @@ def termination_adjusted_load(g: float, l: int, d: int) -> float:
     termination frames that admit no new arrivals. The arrival-rate definition
     g is the reporting convention everywhere else; this accessor only makes
     the (small, O(d/l)) termination rate loss visible."""
-    return g * l / (l + d - 1)
+    topo = build_topology(l, d)
+    return g * topo.l / topo.m_f
 
 
 def _area(u: float, d: int) -> float:

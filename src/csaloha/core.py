@@ -136,9 +136,11 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
 
     Counter-based (Philox) keyed on (seed, stream_id): trial t of a simulation
     uses stream_id=t, so results do not depend on execution order or on how
-    trials are distributed over workers.
+    trials are distributed over workers. Both arguments are integers (see
+    as_int): 1.5 is refused, not drawn as 1.
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id)))
+    key = _key(as_int(seed, "seed"), as_int(stream_id, "stream id"))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rng_streams(seed: int, ids):

@@ -16,12 +16,14 @@ import numpy as np
 from .core import CoupledTopology, as_int, build_topology, pool_map, pool_size, rng_streams
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FrameGraph:
     """One sampled frame (or super-frame) instance: slots has one row per
     active burst listing its d distinct slot indices (0-indexed, global
     across the super-frame in the coupled case). A frame is its slot rows;
     a coupled burst's type follows from them (see sample_coupled_frame).
+    A frame is checked once, when built, and stays as checked: slots is its
+    own read-only int64 copy, and no field can be assigned.
     """
 
     n_slots: int
@@ -29,17 +31,21 @@ class FrameGraph:
     slots: np.ndarray
 
     def __post_init__(self):
-        self.n_slots, self.d = as_int(self.n_slots, "n_slots"), as_int(self.d, "d")
-        if self.n_slots < 1 or self.d < 1:
-            raise ValueError(f"need at least one slot and d >= 1, got n_slots={self.n_slots}, d={self.d}")
-        slots = np.asarray(self.slots)
-        if slots.dtype.kind not in "biu" and (slots != np.floor(slots)).any():  # NaN too: refused, not truncated
-            raise ValueError("slot indices must be integers")
-        slots = slots.astype(np.int64, copy=False)
-        self.slots = slots if slots.size else slots.reshape(0, self.d)
-        if self.slots.shape[1:] != (self.d,):
-            raise ValueError(f"slots must have shape (n, d={self.d}), got {self.slots.shape}")
-        _check_rows(self.slots, self.n_slots)
+        n_slots, d, slots = as_int(self.n_slots, "n_slots"), as_int(self.d, "d"), np.asarray(self.slots)
+        if n_slots < 1 or d < 1:
+            raise ValueError(f"need at least one slot and d >= 1, got n_slots={n_slots}, d={d}")
+        if slots.dtype.kind not in "biu" and not (np.isfinite(slots) & (slots == np.floor(slots))).all():
+            raise ValueError("slot indices must be integers")  # NaN and inf too: refused, not cast
+        if slots.size and slots.shape[1:] != (d,):
+            raise ValueError(f"slots must have shape (n, d={d}), got {slots.shape}")
+        if slots.size and (slots.min() < 0 or slots.max() >= n_slots):  # on the given values: a cast could wrap
+            raise ValueError("slot indices out of range")
+        slots = slots.reshape(-1, d).astype(np.int64)  # the frame's own copy; an empty one of any shape is (0, d)
+        if _repeats_a_slot(slots).any():
+            raise ValueError("a burst lists the same slot twice")
+        slots.setflags(write=False)
+        for name, value in (("n_slots", n_slots), ("d", d), ("slots", slots)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_active(self) -> int:
@@ -78,7 +84,9 @@ def sample_block_frame(
 
 
 def _draw_block(m, g, d, rng, alpha=None):
-    """sample_block_frame's draw: (the slot rows, [the burst count])."""
+    """sample_block_frame's draw: (the slot rows, [the burst count]). Every
+    row lists d distinct slots of 0..m-1, as _lanes needs: integers(0, m)
+    draws in range, and a row is redrawn until it repeats no slot."""
     if d < 1:
         raise ValueError(f"repetition degree must be >= 1, got {d}")
     if m < d:
@@ -103,14 +111,6 @@ def _repeats_a_slot(slots: np.ndarray) -> np.ndarray:
     return clash
 
 
-def _check_rows(rows, n_slots, lo=0):
-    """Raise unless every row lists d distinct slots of lo..lo+n_slots-1."""
-    if rows.size and (rows.min() < lo or rows.max() >= lo + n_slots):
-        raise ValueError("slot indices out of range")
-    if _repeats_a_slot(rows).any():
-        raise ValueError("a burst lists the same slot twice")
-
-
 def sample_coupled_frame(
     m: int, topo: CoupledTopology, g: float, rng: np.random.Generator, alpha: float | None = None
 ) -> FrameGraph:
@@ -124,7 +124,10 @@ def sample_coupled_frame(
 
 
 def _draw_coupled(m, topo, g, rng, alpha=None):
-    """sample_coupled_frame's draw: (the slot rows, sorted by type, and each type's burst count)."""
+    """sample_coupled_frame's draw: (the slot rows, sorted by type, and each type's burst count).
+    Every row lists d distinct slots of 0..m*m_f-1, as _lanes needs: one of 0..m-1 in each of
+    frames i..i+d-1 (mod m_f), which are d distinct frames since d <= m_f on a chain and l >= d
+    on a circulant."""
     if m < 1:
         raise ValueError(f"need at least one slot per frame, got {m}")
     counts = _draw_active(rng, g, m, alpha, topo.l)
@@ -203,8 +206,11 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     """Peel a stream of frames of one degree d in n_lanes rolling lanes of
     one union graph; if exact, finish each frame that stalls by inactivation
     decoding (_inactivate). next_frame() returns the next frame's (n, d) slot
-    rows, slot ids in 0..n_slots-1, or None after the last; the rows are
-    copied, so the caller need not keep them.
+    rows, or None after the last; the rows are copied, so the caller need
+    not keep them. They are decoded as given, unchecked: each row must list
+    d distinct slots of 0..n_slots-1. FrameGraph guarantees that for peel
+    and gje_decode, and the samplers (_draw_block, _draw_coupled) for
+    run_trials.
 
     Lane i holds one frame at a time: slots i*n_slots..(i+1)*n_slots-1 and
     bursts i*C..i*C+n-1 of the union, where C is the lanes' burst capacity
@@ -217,14 +223,13 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     leaves deg_v and acc_v as peeling left them: a refill rewrites the lane.
     A fill resets the freed lanes, then draws the next frames of the stream
     into them one at a time. Each frame's rows are copied into its lane and
-    read there in place: checked by _check_rows, as FrameGraph checks a
-    frame, and counted in with one add.at for the degrees and d for the id
-    sums, before the next frame is drawn. Then the new frames' degree-1 slots
-    join the frontier. A frame larger than C grows every lane, and the ids of
-    the bursts in flight move with their lane. A frame's peel_iterations is
-    the last round whose frontier held one of its lane's slots, less the
-    round at which it entered: it gets that count, and everything else, as
-    when decoded alone.
+    read there in place: counted in with one add.at for the degrees and d
+    for the id sums, before the next frame is drawn. Then the new frames'
+    degree-1 slots join the frontier. A frame larger than C grows every
+    lane, and the ids of the bursts in flight move with their lane. A
+    frame's peel_iterations is the last round whose frontier held one of
+    its lane's slots, less the round at which it entered: it gets that
+    count, and everything else, as when decoded alone.
 
     A round keeps one copy of a burst that two frontier slots hold, without
     a sort: it writes each candidate's position into pos and keeps those
@@ -298,7 +303,6 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
             np.add(slots, i * S, out=t)
             n[i], got = len(slots), got + 1
             del slots  # its rows live in the union now, not through the next draw
-            _check_rows(t, S, i * S)
             np.add.at(deg_v, t.ravel(), 1)
             ids = np.arange(i * C, i * C + len(t))
             for j in range(d):
@@ -568,6 +572,7 @@ def run_trials(
     if decoder not in ("peeling", "gje", "both"):
         raise ValueError(f"decoder must be peeling|gje|both, got {decoder!r}")
     m, d, trials, seed = as_int(m, "m"), as_int(d, "d"), as_int(trials, "trials"), as_int(seed, "seed")
+    workers = as_int(workers, "workers")
     l = l if l is None else as_int(l, "l")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

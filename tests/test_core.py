@@ -12,7 +12,7 @@ from csaloha import (
     rng_stream,
     run_trials,
 )
-from csaloha.core import CoupledTopology
+from csaloha.core import CoupledTopology, rng_streams
 from oracles import brute_force_occupancy
 
 
@@ -146,6 +146,20 @@ def test_rng_stream_pinned_sequence():
         [0.011546754286331562, 0.24154919656271812], abs=0.0
     )
     assert isinstance(rng_stream(0, 0).bit_generator, np.random.Philox)
+
+
+def test_rng_stream_refuses_a_non_integral_argument():
+    # 1.5 and True drew seed 1's stream, 2.7 stream 2's, and "3" died in a
+    # string format; a whole number of another type draws the int's stream
+    refused = ((1.5, 0, "seed"), (True, 0, "seed"), ("3", 0, "seed"), (1, 2.7, "stream id"), (1, None, "stream id"))
+    for seed, stream_id, what in refused:
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            rng_stream(seed, stream_id)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        next(rng_streams(1.5, [0]))  # a batch's one stream is an rng_stream
+    want = rng_stream(1, 2).integers(0, 2**62, size=4).tolist()
+    for seed, stream_id in ((1.0, 2.0), (np.int64(1), np.uint8(2)), (np.float64(1), 2)):
+        assert rng_stream(seed, stream_id).integers(0, 2**62, size=4).tolist() == want
 
 
 @pytest.mark.parametrize(

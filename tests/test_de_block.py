@@ -182,8 +182,10 @@ def test_efficiency_is_the_ratio():
     assert efficiency(0.9179, 0.9405) == pytest.approx(0.9760, abs=1e-4)
     assert efficiency(0.7, 0.7) == 1.0
     assert efficiency(0.5, G_STAR[2]) == pytest.approx(0.5 / G_STAR[2], abs=1e-15)
-    with pytest.raises(ValueError):
-        efficiency(0.5, 0.0)
+    # a load bound is positive and finite: NaN returned NaN and inf returned 0.0
+    for g_star in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="load bound must be positive and finite"):
+            efficiency(0.5, g_star)
 
 
 def test_de_config_validation():

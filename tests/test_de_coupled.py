@@ -135,6 +135,11 @@ def test_coupled_d2_linear_bound_from_both_sides():
 def test_termination_adjusted_load():
     assert termination_adjusted_load(0.9, 200, 3) == pytest.approx(0.9 * 200 / 202)
     assert termination_adjusted_load(0.9, 10**6, 3) == pytest.approx(0.9, abs=1e-5)
+    assert termination_adjusted_load(0.9, 200, 3) == 0.9 * 200 / 202  # the bits the chain's m_f gives
+    # an l that no chain has is refused: l=-1 returned -0.9 and l=2.5 returned 0.5
+    for l, d in ((-1, 3), (0, 3), (2.5, 3), (10, 0)):
+        with pytest.raises(ValueError):
+            termination_adjusted_load(0.9, l, d)
 
 
 # (builder, l, d, g, converged, final_p, iterations) at max_iters=20_000, taken

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
 import statistics
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -63,6 +65,38 @@ def test_frame_graph_validation():
     for d, slots in ((2, [[0, 1, 2, 3]]), (3, np.arange(6).reshape(3, 2)), (2, [0, 1, 2]), (2, [0, 1])):
         with pytest.raises(ValueError, match="slots must have shape"):
             FrameGraph(n_slots=10, d=d, slots=slots)
+    # integrality and range are checked on the values given, before the
+    # int64 cast, which warned on inf and 1e30 and wrapped 2**63 + 5 negative
+    refused = (
+        ([[0.0, math.inf]], "slot indices must be integers"),
+        ([[-math.inf, 1.0]], "slot indices must be integers"),
+        ([[0.0, 1e30]], "out of range"),
+        (np.array([[0, 2**63 + 5]], dtype=np.uint64), "out of range"),
+        (np.array([[0, 2**64 - 1]], dtype=np.uint64), "out of range"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for slots, match in refused:
+            with pytest.raises(ValueError, match=match):
+                FrameGraph(n_slots=4, d=2, slots=slots)
+        assert FrameGraph(n_slots=4, d=2, slots=np.array([[3, 0]], dtype=np.uint64)).slots.tolist() == [[3, 0]]
+
+
+def test_frame_graph_stays_as_checked():
+    # a frame is its own read-only int64 copy of the rows, with fields that
+    # cannot be assigned: what was checked is what peel and gje_decode read
+    rows = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
+    f = FrameGraph(n_slots=4, d=2, slots=rows)
+    peeled, exact = peel(f), gje_decode(f)
+    with pytest.raises(ValueError, match="read-only"):
+        f.slots[0, 0] = 1
+    for name, value in (("n_slots", 2), ("d", 1), ("slots", np.zeros((0, 2), dtype=np.int64))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+    rows[:] = [[0, 0], [9, 9], [-1, 5]]  # the caller's array, now three bad rows
+    assert f.slots.tolist() == [[0, 1], [1, 2], [2, 3]] and (f.n_slots, f.d) == (4, 2)
+    assert peel(f) == peeled and gje_decode(f) == exact
+    assert peeled.recovered == frozenset(range(3))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -178,17 +212,17 @@ def test_one_vector_count_draw_equals_scalar_draws(m, alpha):
     assert one.integers(0, 2**62, 8).tolist() == each.integers(0, 2**62, 8).tolist()
 
 
-def _spy_fills(monkeypatch):
-    """Record each lane fill's frames as the decoder receives them: their
-    rows, with each frame's lane offset taken off again."""
-    seen, check = [], sim._check_rows
+def _spy_fills(draw):
+    """draw, wrapped to record the slot rows of each frame it returns: the
+    rows a batch's lanes decode, as drawn."""
+    seen = []
 
-    def spy(rows, n_slots, lo=0):
-        seen.append(rows - lo)
-        return check(rows, n_slots, lo)
+    def spy(rng):
+        slots, by_type = draw(rng=rng)
+        seen.append(slots.copy())
+        return slots, by_type
 
-    monkeypatch.setattr(sim, "_check_rows", spy)
-    return seen
+    return spy, seen
 
 
 @pytest.mark.parametrize("alpha", [None, 2.0])
@@ -209,8 +243,8 @@ def test_batched_block_draws_are_the_sampled_frames(monkeypatch, alpha):
             slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d))
         assert np.array_equal(f.slots, slots)
     monkeypatch.setattr(sim, "_BATCH_BURSTS", 12)  # four lanes of three slots
-    seen = _spy_fills(monkeypatch)
-    counts = sim._trial_batch(range(trials), partial(sim._draw_block, m, g, d, alpha=alpha), m, False, seed)
+    draw, seen = _spy_fills(partial(sim._draw_block, m, g, d, alpha=alpha))
+    counts = sim._trial_batch(range(trials), draw, m, False, seed)
     assert len(seen) > 1
     assert np.array_equal(np.concatenate(seen), np.concatenate([f.slots for f in frames]))
     assert counts[:, 0].ravel().tolist() == [f.n_active for f in frames]
@@ -229,13 +263,64 @@ def test_batched_coupled_draws_are_the_sampled_frames(monkeypatch, topo, alpha):
     types = [f.slots[:, 0] // m + 1 for f in frames]
     assert all((np.diff(u) >= 0).all() for u in types)
     monkeypatch.setattr(sim, "_BATCH_BURSTS", 100)
-    seen = _spy_fills(monkeypatch)
+    draw, seen = _spy_fills(partial(sim._draw_coupled, m, topo, g, alpha=alpha))
     n_slots = m * topo.m_f
-    counts = sim._trial_batch(range(trials), partial(sim._draw_coupled, m, topo, g, alpha=alpha), n_slots, False, seed)
+    counts = sim._trial_batch(range(trials), draw, n_slots, False, seed)
     assert len(seen) > 1
     assert np.array_equal(np.concatenate(seen), np.concatenate([f.slots for f in frames]))
     want = [np.bincount(u, minlength=topo.l + 1)[1:] for u in types]
     assert np.array_equal(counts[:, 0], np.array(want))
+
+
+def _assert_valid_rows(rows, d, n_slots):
+    # the precondition of the decode lanes, which do not check it: each row
+    # lists d distinct slots of 0..n_slots-1 (by the sort test, not _repeats_a_slot)
+    assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == d
+    if rows.size:
+        assert 0 <= rows.min() and rows.max() < n_slots
+        assert (np.diff(np.sort(rows, axis=1), axis=1) > 0).all()
+
+
+def test_sampled_rows_are_valid_at_the_edges():
+    # the decode lanes read the sampled rows unchecked, so the samplers must
+    # draw valid rows at their edges: block frames of m = d slots, where a
+    # row is a permutation of the frame (at d=8, one draw in 416 is), and
+    # coupled frames of one slot per frame on the shortest and a long chain
+    # and on circulants with m_f = l = d, where distinct frames alone keep
+    # a row's slots apart
+    rng = rng_stream(29, 0)
+    for d in range(1, 9):
+        for alpha in (None, 2.0):
+            for g in (0.0, 1.5):
+                n = 0
+                for _ in range({6: 10, 7: 4, 8: 2}.get(d, 40)):  # a d=8 frame takes ~0.1 s of redraws
+                    rows, counts = sim._draw_block(d, g, d, rng, alpha=alpha)
+                    _assert_valid_rows(rows, d, d)
+                    assert counts.tolist() == [len(rows)]
+                    n += len(rows)
+                assert (n > 0) == (g > 0)
+        for topo in (build_topology(1, d), build_topology(2, d), build_topology(50, d), build_circulant_topology(d, d)):
+            n = 0
+            for m, alpha in ((1, None), (1, 2.0), (3, None)):
+                for _ in range(5):
+                    rows, counts = sim._draw_coupled(m, topo, 1.5, rng, alpha=alpha)
+                    _assert_valid_rows(rows, d, m * topo.m_f)
+                    assert counts.sum() == len(rows)
+                    n += len(rows)
+            assert n > 0
+    # and the frames a batch draws into its lanes
+    for d in (1, 3, 5):
+        for draw, n_slots in (
+            (partial(sim._draw_block, d, 1.5, d), d),
+            (partial(sim._draw_block, d, 1.5, d, alpha=2.0), d),
+            (partial(sim._draw_coupled, 1, build_circulant_topology(d, d), 1.5), d),
+            (partial(sim._draw_coupled, 2, build_topology(2, d), 1.5, alpha=2.0), 2 * (d + 1)),
+        ):
+            spy, seen = _spy_fills(draw)
+            counts = sim._trial_batch(range(12), spy, n_slots, True, d)
+            assert len(seen) == 12 and counts[:, 0].sum() == sum(len(rows) for rows in seen) > 0
+            for rows in seen:
+                _assert_valid_rows(rows, d, n_slots)
 
 
 def test_one_rekeyed_stream_draws_what_a_new_stream_draws():
@@ -651,19 +736,6 @@ def test_decoding_leaves_every_callers_slots_unchanged(monkeypatch):
         assert [f.slots.tobytes() for f in frames] == before
 
 
-def test_a_batch_checks_every_frames_rows():
-    # the batch checks once what FrameGraph checks per frame: a slot of the
-    # next frame, one of an earlier frame (here an empty one) and a repeated
-    # slot are refused in any frame, though all lie inside the union
-    good, empty = np.array([[0, 1], [2, 3]]), np.zeros((0, 2), dtype=np.int64)
-    refused = (([[0, 4]], "out of range"), ([[-1, 0]], "out of range"), ([[2, 2]], "same slot twice"))
-    for bad, match in refused:
-        frames = [good, empty, np.array(bad), good]
-        held = iter([(f, np.array([len(f)])) for f in frames])
-        with pytest.raises(ValueError, match=match):
-            sim._trial_batch(range(4), lambda rng: next(held), 4, False, 0)
-
-
 def test_run_trials_payload_does_not_depend_on_buffer_growth(monkeypatch):
     # the union buffer is sized from the frames it holds and grows within a
     # call: at a budget below the first frame's size every frame is a batch
@@ -886,6 +958,11 @@ def test_run_trials_validation():
     # a whole number of another type is taken, and reported, as an int
     whole = dict(m=50.0, d=np.int64(3), g=0.5, trials=3.0, seed=np.float64(1))
     assert run_trials("block", **whole).to_dict() == run_trials("block", **ok).to_dict()
+    # a worker count too (workers=1.5 died in the pool's set-up, on a float)
+    for bad in (1.5, math.nan, "2", True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_trials("block", **ok, workers=bad)
+    assert run_trials("block", **ok, workers=2.0).to_dict() == run_trials("block", **ok, workers=1).to_dict()
 
 
 def test_sampler_refusals_reach_run_trials():
@@ -928,8 +1005,9 @@ def test_a_non_integral_population_is_refused():
     assert rep.alpha == 1.1 and rep.n_bursts > 0
 
 
-def test_frame_graph_refuses_what_a_batch_refuses():
-    # FrameGraph and a batch's lane fill make one check, with one message each
+def test_frame_graph_refuses_bad_rows_with_one_message_each():
+    # FrameGraph is the one check of a frame's rows (a batch decodes its
+    # sampled rows as drawn), with one message for each kind of bad row
     for bad, match in (([[0, 4]], "out of range"), ([[-1, 0]], "out of range"), ([[2, 2]], "same slot twice")):
         with pytest.raises(ValueError, match=match):
             FrameGraph(n_slots=4, d=2, slots=np.array(bad))
