@@ -5,8 +5,9 @@ threshold/bound constants come from closed-form expressions evaluated in
 mpmath, the MAP bound is also computed by quadrature of the extrinsic curve,
 the decoder oracles enumerate all 2^n candidate vectors or run a dense
 Gauss-Jordan elimination over the whole system, the reference peeler is a
-plain set-based loop, and the coupled DE step is a plain loop over the edges
-that the access rule defines.
+plain set-based loop, the coupled DE step is a plain loop over the edges
+that the access rule defines, and the DE stop rule is applied one iterate at
+a time.
 """
 
 import math
@@ -299,3 +300,27 @@ def coupled_de_step_reference(p, l, d, g, wrap=False):
         q.append(total / len(types))
         p_new.append(1.0 - math.exp(-g * len(types) * q[-1]))
     return q, p_new
+
+
+# The stop rule of every density-evolution run (analysis.BlockDeConfig).
+TARGET_P = 1e-8
+STALL_EPS = 1e-12
+
+
+def stop_rule_reference(step, p0, cap):
+    """The DE stop rule applied iterate by iterate: step() returns the next
+    (q, p), and the run stops at the first t with max p_t <= TARGET_P
+    ("target"), else with max |p_t - p_{t-1}| < STALL_EPS ("stall"), or at
+    t = cap ("cap"). p0 is the iterate before the first step. Returns
+    (converged, final_p, iterations, stop_reason, trace), final_p being
+    max p_t at the stop and trace copies of the (q, p) pairs."""
+    prev, trace = np.array(p0, dtype=float), []
+    for t in range(1, cap + 1):
+        q, p = (np.array(x, dtype=float) for x in step())
+        trace.append((q, p))
+        if p.max() <= TARGET_P:
+            return True, float(p.max()), t, "target", trace
+        if np.abs(p - prev).max() < STALL_EPS:
+            return False, float(p.max()), t, "stall", trace
+        prev = p
+    return False, float(prev.max()), cap, "cap", trace

@@ -16,8 +16,9 @@ from csaloha import (
     termination_adjusted_load,
 )
 from csaloha import analysis
-from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel, _run, threshold
-from oracles import coupled_de_step_reference
+from csaloha.analysis import _BLOCK, STALL_EPS, TARGET_P, _CoupledKernel, _iterate, _run, threshold
+import oracles
+from oracles import coupled_de_step_reference, stop_rule_reference
 
 
 def test_step_zero_profile_is_absorbing():
@@ -420,12 +421,76 @@ def test_run_stops_on_block_boundary(g, reason, iterations):
     assert _BLOCK == 64  # the iteration counts below sit on and just past a block's end
     res, traced = _run_both(g, 100_000)
     assert (res.stop_reason, res.iterations) == (reason, iterations)
-    # the stop rule applied iterate by iterate holds first on the last one
-    prev, met = np.ones(202), []
-    for _, p in traced.trace:
-        met.append(p.max() <= TARGET_P or np.abs(prev - p).max() < STALL_EPS)
-        prev = p
-    assert met.index(True) == iterations - 1
+    # the stop rule applied iterate by iterate stops on the same iterate
+    _assert_matches_stop_rule_oracle(traced, _CoupledKernel(build_topology(200, 3)).start(g).advance, 1.0, 100_000)
+
+
+def _assert_matches_stop_rule_oracle(res, advance, p0, cap):
+    """res is the stop rule applied one iterate at a time (oracles) to the
+    iterates of advance(1), from p0 under cap: every field, and the trace and
+    final_p to the byte."""
+
+    def step():
+        qs, ps = advance(1)
+        return qs[0], ps[1]
+
+    converged, final_p, iterations, reason, trace = stop_rule_reference(step, p0, cap)
+    assert (res.converged, res.iterations, res.stop_reason) == (converged, iterations, reason)
+    as_bytes = lambda x: np.asarray(x, dtype=np.float64).tobytes()
+    assert as_bytes(res.final_p) == as_bytes(final_p)
+    assert [(as_bytes(q), as_bytes(p)) for q, p in res.trace] == [(as_bytes(q), as_bytes(p)) for q, p in trace]
+
+
+# _run screens each block on two witness positions before its full check.
+# Every verdict must still be the iterate-by-iterate rule's, through each way
+# in: de_coupled_run (cold), _run on a kernel started at p0 (a zero entry
+# makes iterates rise and fall, so witnesses fail mid-run; a NaN fails every
+# check) and de_block_run (the scalar recursion). At d=2 the iterates near 0
+# shrink by a constant factor, so a block can hold the target and still no
+# stall. The reason is the run's at a cap of 1000; caps 1, 63, 64 and 65 end
+# it inside, on and just past the first block.
+_STOP_RULE_RUNS = [
+    ("cold", "chain", 30, 3, 0.9, "target"),
+    ("cold", "chain", 30, 3, 0.95, "stall"),
+    ("cold", "chain", 30, 3, 0.92, "cap"),
+    ("cold", "chain", 30, 4, 0.95, "target"),
+    ("cold", "chain", 30, 2, 0.45, "target"),
+    ("cold", "circulant", 12, 3, 0.85, "stall"),
+    ("cold", "circulant", 12, 4, 0.5, "target"),
+    ("zero", "chain", 30, 3, 0.9, "target"),
+    ("zero", "chain", 30, 3, 0.95, "stall"),
+    ("zero", "chain", 30, 3, 0.92, "cap"),
+    ("zero", "circulant", 12, 3, 0.9, "stall"),
+    ("nan", "chain", 30, 3, 0.9, "cap"),
+    ("block", None, None, 2, 0.5, "cap"),
+    ("block", None, None, 2, 0.45, "target"),
+    ("block", None, None, 3, 0.8184, "target"),
+    ("block", None, None, 3, 0.9, "stall"),
+    ("block", None, None, 4, 0.8, "stall"),
+]
+
+
+@pytest.mark.parametrize("start,kind,l,d,g,reason", _STOP_RULE_RUNS)
+def test_run_matches_the_stop_rule_oracle(start, kind, l, d, g, reason):
+    assert (oracles.TARGET_P, oracles.STALL_EPS) == (TARGET_P, STALL_EPS)
+    builders = {"chain": build_topology, "circulant": build_circulant_topology}
+    for cap in (1, 63, 64, 65, 1000):
+        cfg = BlockDeConfig(max_iters=cap)
+        if start == "block":
+            params = SchemeParams(d)
+            res = de_block_run(params, LoadPoint.from_g(g, params.alpha), cfg, record_trace=True)
+            _assert_matches_stop_rule_oracle(res, _iterate(d, g), 1.0, cap)
+        else:
+            topo = builders[kind](l, d)
+            p0 = np.ones(topo.m_f)
+            if start == "cold":
+                res = de_coupled_run(topo, g, cfg, record_trace=True)
+            else:  # one entry of p0, mid-chain, set to 0 or NaN
+                p0[topo.m_f // 2] = 0.0 if start == "zero" else math.nan
+                res = _run(_CoupledKernel(topo).start(g, p0).advance, cfg, True)
+            _assert_matches_stop_rule_oracle(res, _CoupledKernel(topo).start(g, p0).advance, p0, cap)
+        if cap == 1000:
+            assert res.stop_reason == reason
 
 
 @pytest.mark.parametrize("g", [math.nan, math.inf, -0.1])
