@@ -95,10 +95,11 @@ def _draw_block(m, g, d, rng, alpha=None):
         raise ValueError(f"need at least d={d} slots, got m={m}")
     counts = _draw_active(rng, g, m, alpha, 1)
     slots = rng.integers(0, m, size=(int(counts[0]), d), dtype=np.int64)
-    redo = np.flatnonzero(_repeats_a_slot(slots))
-    while redo.size:
-        slots[redo] = rng.integers(0, m, size=(redo.size, d), dtype=np.int64)
-        redo = redo[_repeats_a_slot(slots[redo])]  # only a redrawn row can repeat a slot
+    redo = np.flatnonzero(_repeats_a_slot(slots)).tolist()
+    while redo:  # a few rows a pass, checked as lists: a numpy call costs more than the check
+        drawn = rng.integers(0, m, size=(len(redo), d), dtype=np.int64)
+        slots[redo] = drawn
+        redo = [i for i, row in zip(redo, drawn.tolist()) if len(set(row)) < d]  # only a redrawn row can repeat a slot
     return slots, counts
 
 
@@ -185,22 +186,9 @@ def _report(frame: FrameGraph, exact: bool) -> DecodeReport:
     return DecodeReport(recovered_set, peeled_set, int(peel_rounds()[0]), int(rank[0]), int(k[0]))
 
 
-# Peel rounds between two looks for lanes whose frame has finished. A lane
+# Peel rounds between two looks for lanes whose frame has finished: a lane
 # idles for up to this many rounds less one, and a look costs a few numpy
-# calls. Swept on a 2-core host, peeling only (C8: 100 super-frames in three
-# lanes; C7: the five 200-trial block runs at _BATCH_BURSTS = 36,000):
-# seconds at perfbench's reference speed, the median of 8 and of 10
-# in-process runs of every interval in turn in two sittings, and the union
-# rounds per run (9,196 and 716 when every batch of 48,000 bursts ran until
-# its slowest frame was done):
-#
-#   interval   C8 s           C7 s           C8 / C7 rounds
-#          1   0.329 / 0.345  0.225 / 0.230  6,725 /   795
-#          2   0.306 / 0.322  0.211 / 0.219  6,742 /   821
-#          4   0.294 / 0.315  0.195 / 0.200  6,774 /   870
-#          8   0.288 / 0.305  0.188 / 0.197  6,838 /   989
-#         16   0.287 / 0.305  0.183 / 0.187  6,950 / 1,096
-#         32   0.287 / 0.299  0.184 / 0.189  7,204 / 1,104
+# calls (the sweep: ROADMAP, "Measured and set aside").
 _CHECK_ROUNDS = 16
 
 
@@ -228,7 +216,9 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     read there in place: counted in with one add.at for the degrees and d
     for the id sums, before the next frame is drawn. Then the new frames'
     degree-1 slots join the frontier. A frame larger than C grows every
-    lane, and the ids of the bursts in flight move with their lane. A
+    lane: the bursts in flight move with their lane, and every lane's
+    degrees and id sums are counted again from its unsolved rows, in the
+    grown union's dtype. A
     frame's peel_iterations is the last round whose frontier held one of
     its lane's slots, less the round at which it entered: it gets that
     count, and everything else, as when decoded alone.
@@ -237,8 +227,7 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     a sort: it writes each candidate's position into pos and keeps those
     whose position survived. Any repeat may win the write: one copy survives,
     and the round's later updates are order-independent integer scatters.
-    Its boolean selects are compress calls, which equal x[mask] at about
-    half the cost on arrays of a few thousand entries.
+    Its boolean selects are compress calls, which equal x[mask] for less.
 
     The next frontier needs no gather of the degrees before the round, by an
     invariant: every slot of degree 1 is in the frontier when a round starts
@@ -252,16 +241,18 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     one is set to its true degree, 0.
 
     acc_v holds each slot's sum of unresolved burst ids: a slot of degree 1
-    holds its burst's id, and one of degree k less than k*n, far inside int64.
-    Sums, not XORs: numpy's indexed fast loop covers add.at and subtract.at
-    on 1-D indices but not bitwise_xor.at, which costs 2.5-5x as much per
-    scatter of 330-3300 elements.
-
-    pos holds values only (a position within a round), so it is int32, which
-    halves it. Every array used as an index stays intp: numpy casts any other
-    index dtype to intp on each fancy index and ufunc.at call, and int32
-    union arrays made the C8 run 1.2-2.2x slower (ROADMAP, "Measured and set
-    aside").
+    holds its burst's id. Sums, not XORs: numpy's indexed fast loop covers
+    add.at and subtract.at on 1-D indices but not bitwise_xor.at. The slot
+    rows, degrees and id sums share one dtype, _union_dtype of the union's
+    slot and burst counts: int32 unless an id could reach 2**31. The sums
+    are then held modulo 2**32, which is enough: a sum of one id is that id,
+    below 2**31, so its residue read as an int32 is the id itself, however
+    often the sums of a crowded slot wrapped on the way (for _inactivate's
+    copies, see there). Every ufunc.at gets values of that dtype: a Python
+    int or an int64 array sends an int32 scatter to numpy's slow path. A
+    round casts its burst ids and cancelled slots to intp once each, for
+    its gathers; the id-sum scatter reads the slots before their cast, as
+    the first round after a full fill sets a C8 batch's memory peak.
 
     Yields, per look that evicts lanes, (seq, peeled, recovered, peel_rounds,
     rank, inactivations): the evicted frames' positions in the stream, (E, C)
@@ -271,9 +262,8 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     frame, or None unless exact.
     """
     L, S = n_lanes, n_slots
-    deg_v = np.zeros(L * S, dtype=np.int64)  # each slot's count of unresolved bursts
-    acc_v = np.zeros(L * S, dtype=np.int64)  # and the sum of their ids
-    deg2, acc2 = deg_v.reshape(L, S), acc_v.reshape(L, S)
+    # each slot's count of unresolved bursts, and the sum of their ids
+    deg_v, acc_v = np.zeros((2, L * S), dtype=_union_dtype(L * S))
     rows, C, d = None, 0, 0
     solved_v = np.zeros(0, dtype=np.uint8)  # 1 once solved or inactivated
     pos = np.empty(0, dtype=np.int32)  # a candidate burst's position in its round
@@ -281,18 +271,29 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
     active = np.zeros(L, dtype=bool)
     drawn, r = 0, 0
 
+    def count(t, ids):  # bursts ids, of slot rows t, into the degrees and id sums
+        t = t.astype(np.intp)  # once: each scatter would cast an int32 index again, at a higher cost
+        np.add.at(deg_v, t.ravel(), deg_v.dtype.type(1))
+        for j in range(d):
+            np.add.at(acc_v, t[:, j], ids)
+
     def grow(c):
-        nonlocal rows, solved_v, pos, C
-        grown, solved = np.empty((L * c, d), dtype=np.int64), np.zeros(L * c, dtype=np.uint8)
-        if C:  # move each lane's bursts to its new range, and their ids in its sums with them
+        nonlocal rows, solved_v, pos, C, deg_v, acc_v
+        ix = _union_dtype(L * max(S, c))
+        grown, solved = np.empty((L * c, d), dtype=ix), np.zeros(L * c, dtype=np.uint8)
+        if C:  # move each lane's bursts to its new range
             grown.reshape(L, c, d)[:, :C] = rows.reshape(L, C, d)
             solved.reshape(L, c)[:, :C] = solved_v.reshape(L, C)
-            acc2[:] += deg2 * (np.arange(L) * (c - C))[:, None]
+        if C or ix != deg_v.dtype:  # count the lanes' unsolved bursts again, by their new ids
+            deg_v = acc_v = None  # freed before the new ones are made
+            deg_v, acc_v = np.zeros((2, L * S), dtype=ix)
+            live = np.flatnonzero((np.arange(c) < n[:, None]).ravel() > solved)
+            count(grown[live], live.astype(ix))
         rows, solved_v, pos, C = grown, solved, np.empty(L * c, dtype=np.int32), c
 
     def fill(lanes):
         nonlocal d, drawn
-        deg2[lanes], acc2[lanes] = 0, 0
+        deg_v.reshape(L, S)[lanes], acc_v.reshape(L, S)[lanes], n[lanes] = 0, 0, 0
         solved_v.reshape(L, C)[lanes] = 0
         got = 0  # the lanes that drew a frame: lanes[:got]
         for i in lanes.tolist():
@@ -305,18 +306,12 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
             np.add(slots, i * S, out=t)
             n[i], got = len(slots), got + 1
             del slots  # its rows live in the union now, not through the next draw
-            np.add.at(deg_v, t.ravel(), 1)
-            ids = np.arange(i * C, i * C + len(t))
-            for j in range(d):
-                np.add.at(acc_v, t[:, j], ids)
-            del ids  # like slots, not held through the next draw
+            count(t, np.arange(i * C, i * C + len(t), dtype=acc_v.dtype))
         got = lanes[:got]
         active[lanes] = False
         active[got], entry[got], seq[got] = True, r, np.arange(drawn, drawn + got.size)
         drawn += got.size
-        # e*S + s for slot s of lane got[e]; a gather of bools: one of the int64 degrees
-        # raised sim-coupled's peak RSS by ~0.2 MB
-        f = np.flatnonzero((deg2 == 1)[got])
+        f = np.flatnonzero(deg_v.reshape(L, S)[got] == 1)  # e*S + s for slot s of lane got[e]
         return f + ((got - np.arange(got.size)) * S)[f // S]
 
     def evict(lanes, fronts):
@@ -331,11 +326,29 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
             return seq[lanes], peeled, peeled, peel_rounds, None, None
         rank, k = n[lanes].astype(np.int64), np.zeros(len(lanes), dtype=np.int64)
         recovered = np.ones_like(peeled)
-        for j in np.flatnonzero(deg2[lanes].any(axis=1)).tolist():  # the lanes whose peeling stalled
+        for j in np.flatnonzero(deg_v.reshape(L, S)[lanes].any(axis=1)).tolist():  # the lanes whose peeling stalled
             b0, i = int(lanes[j]) * C, int(lanes[j])
             lost, rank[j], k[j] = _inactivate(rows.ravel(), d, deg_v, acc_v, solved_v, b0, b0 + int(n[i]), i * S, S)
             recovered[j, np.array(lost, dtype=np.intp) - b0] = False
         return seq[lanes], peeled, recovered, peel_rounds, rank, k
+
+    def run_round(frontier):  # the next frontier; the round's arrays go when it returns
+        one = frontier.compress(deg_v[frontier] == 1)  # the solving slots
+        b = acc_v[one].astype(np.intp)
+        at = np.arange(b.size, dtype=np.int32)  # pos's dtype: a cast would cost more than the scatter
+        pos[b] = at
+        b = b.compress(pos[b] == at)
+        del at  # and b below, before t is cast: a full fill's first round sets a C8 batch's memory peak
+        solved_v[b] = 1
+        t = rows.take(b, 0).ravel()
+        np.subtract.at(acc_v, t, b.astype(acc_v.dtype).repeat(d))
+        del b
+        t = t.astype(np.intp)
+        deg_v[one] = 3  # the sentinel: a solving slot ends the round at 2, out of the frontier
+        np.subtract.at(deg_v, t, deg_v.dtype.type(1))
+        frontier = t.compress(deg_v[t] <= 1)
+        deg_v[one] = 0
+        return frontier
 
     frontier = fill(np.arange(L))
     while active.any():
@@ -345,18 +358,7 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
                 break
             r += 1
             fronts.append(frontier)
-            one = frontier.compress(deg_v[frontier] == 1)  # the solving slots
-            b = acc_v[one]
-            at = np.arange(b.size, dtype=np.int32)  # pos's dtype: a cast would cost more than the scatter
-            pos[b] = at
-            b = b.compress(pos[b] == at)
-            solved_v[b] = 1
-            t = rows.take(b, 0).ravel()
-            deg_v[one] = 3  # the sentinel: a solving slot ends the round at 2, out of the frontier
-            np.subtract.at(deg_v, t, 1)
-            np.subtract.at(acc_v, t, b.repeat(d))
-            frontier = t.compress(deg_v[t] <= 1)
-            deg_v[one] = 0
+            frontier = run_round(frontier)
         busy = np.zeros(L, dtype=bool)
         busy[frontier // S] = True
         if (done := np.flatnonzero(active > busy)).size:
@@ -364,11 +366,23 @@ def _lanes(next_frame, n_lanes: int, n_slots: int, exact: bool):
             frontier = np.concatenate([frontier, fill(done)])
 
 
+def _union_dtype(n: int) -> np.dtype:
+    """The dtype of _lanes' slot rows, degrees and id sums over a union of
+    n slots or bursts, whichever is more: int32, which halves them, while
+    every id (below n) fits in it, else int64."""
+    return np.dtype(np.int32 if n <= 2**31 else np.int64)
+
+
 def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[int], int, int]:
     """Inactivation decoding of the frame with bursts b0..b1-1 and slots
     s0..s0+m-1, whose peeling stalled, on list copies of deg_v and acc_v (see
     _lanes) over the span of slots that still hold a burst. Of the union it
     writes only solved_v and the frame's rows, which become span positions.
+    A copied sum is known only modulo 2**32 on an int32 union, and the loop
+    subtracts exact ids from it: a slot's value at degree 1 is its id plus
+    j * 2**32 for some j <= 0, since the copy is below 2**31 and so is the
+    id. So a value >= 0 is the id, and a negative one is reduced mod 2**32
+    (& wrap) before it names its burst. An int64 union holds exact sums.
 
     One loop over a FIFO queue of slots cancels one burst per step: that of
     the next queued slot still of degree 1, which inherits the slot's mask,
@@ -383,6 +397,7 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
     lo, hi = (s0 + np.flatnonzero(deg_v[s0 : s0 + m])[[0, -1]] + [0, 1]).tolist()
     flat[b0 * d : b1 * d] -= lo  # slot lo + i is i from here on; a refill overwrites the rows
     deg, acc, smask = deg_v[lo:hi].tolist(), acc_v[lo:hi].tolist(), [0] * (hi - lo)  # lists: half a memoryview's cost
+    wrap = (1 << 8 * acc_v.itemsize) - 1  # the sums' modulus less 1
     rows, solved = memoryview(flat), memoryview(solved_v)  # plain ints, no numpy scalars
     left = iter((b0 + np.flatnonzero(solved_v[b0:b1] == 0)).tolist())  # the bursts peeling left, ascending
     bmask: dict[int, int] = {}  # burst -> mask of the x_j in its value
@@ -394,6 +409,8 @@ def _inactivate(flat, d, deg_v, acc_v, solved_v, b0, b1, s0, m) -> tuple[list[in
             if deg[s] != 1:
                 continue
             b, v = acc[s], smask[s]
+            if b < 0:  # a sum that wrapped: its residue is the id
+                b &= wrap
         else:
             v, k = 1 << k, k + 1
         solved[b] = 1
@@ -471,28 +488,13 @@ class SimReport:
 
 
 # Slots that _trial_batch's lanes hold at most, unless it takes _MIN_LANES
-# lanes to reach them. A frame's slot count stands in for its burst count:
-# every workload runs near g=1. More lanes share each round's numpy calls
-# among more frames, and more frames finish at each look, but they hold more
-# memory. Swept on a 2-core host at _CHECK_ROUNDS = 16: seconds at
-# perfbench's reference speed, the median of 8 and 10 (C7: the five block
-# runs of 190-3000-burst frames) and of 16 and 20 (EX: sim-exact, frames of
-# 3.6k bursts) in-process runs of every budget in turn, in two sittings; and
-# ru_maxrss in MB, the median of three fresh processes:
-#
-#   budget   C7 s           EX s             C7 / EX MB
-#   24,000   0.193 / 0.192  0.037 / 0.038    37.6 / 36.4
-#   36,000   0.185 / 0.184  0.036 / 0.036    38.6 / 37.1
-#   48,000   0.183 / 0.183  0.036 / 0.036    39.2 / 37.4
-#   72,000   0.178 / 0.183  0.035 / 0.035    40.4 / 38.6
-#
-# 48,000 is ~1 % faster on C7 in both sittings, for ~0.6 MB more ru_maxrss.
-# Batches of 48,000 bursts, each peeled until its slowest frame was done,
-# took 39.2 / 38.4 MB. C8's super-frames (26,000 slots) get _MIN_LANES lanes
-# at every budget: four lanes peel a C8 run ~2 % faster, at 1.1 MB more
-# ru_maxrss.
+# lanes to reach them (a frame's slot count stands in for its burst count:
+# every workload runs near g=1). More lanes share each round's numpy calls
+# among more frames, but hold more memory. C8's super-frames (26,000 slots)
+# get _MIN_LANES lanes, whose traced peak stays below that of three lanes of
+# int64 union arrays (the sweeps: ROADMAP, "Measured and set aside").
 _BATCH_BURSTS = 36_000
-_MIN_LANES = 3
+_MIN_LANES = 5
 
 
 def _trial_batch(ids, draw, n_slots, exact, seed):

@@ -227,3 +227,26 @@ def test_no_private_name_crosses_a_module_boundary():
         if alias.name.startswith("_")
     ]
     assert crossing == []
+
+
+def test_no_ufunc_at_in_src_scatters_a_bare_int():
+    # ufunc.at given a Python int as its value leaves numpy's indexed fast
+    # loop on an int32 array: 88 against 2.3 us a 700-index scatter (numpy
+    # 2.4). Every scatter passes a typed scalar or an array of its dtype
+    import ast
+    from pathlib import Path
+
+    def bare_int(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, bool)
+
+    src = Path(__file__).resolve().parents[1] / "src/csaloha"
+    calls = [
+        (path.name, node.lineno, node.args[2:3] + [k.value for k in node.keywords if k.arg == "b"])
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
+    ]
+    assert len(calls) >= 5
+    assert [(name, line) for name, line, value in calls if any(map(bare_int, value))] == []

@@ -231,17 +231,17 @@ def test_batched_block_draws_are_the_sampled_frames(monkeypatch, alpha):
     # several redraw rounds; re-checking only the redrawn rows draws what
     # re-checking every row draws
     m, g, d, seed, trials = 3, 1.5, 3, 4, 12
-    checks, repeats = [], sim._repeats_a_slot
-    monkeypatch.setattr(sim, "_repeats_a_slot", lambda rows: checks.append(len(rows)) or repeats(rows))
     frames = [sample_block_frame(m, g, d, rng_stream(seed, t), alpha=alpha) for t in range(trials)]
-    assert len(checks) > 4 * trials
+    redraws = 0
     for t, f in enumerate(frames):
         rng = rng_stream(seed, t)
         n = rng.poisson(g * m) if alpha is None else rng.binomial(int(round(alpha * m)), g / alpha)
         slots = rng.integers(0, m, size=(n, d))
         while (clash := (np.diff(np.sort(slots, axis=1), axis=1) == 0).any(axis=1)).any():
             slots[clash] = rng.integers(0, m, size=(int(clash.sum()), d))
+            redraws += 1
         assert np.array_equal(f.slots, slots)
+    assert redraws > 2 * trials
     monkeypatch.setattr(sim, "_BATCH_BURSTS", 12)  # four lanes of three slots
     draw, seen = _spy_fills(partial(sim._draw_block, m, g, d, alpha=alpha))
     counts = sim._trial_batch(range(trials), draw, m, False, seed)
@@ -279,6 +279,19 @@ def _assert_valid_rows(rows, d, n_slots):
     if rows.size:
         assert 0 <= rows.min() and rows.max() < n_slots
         assert (np.diff(np.sort(rows, axis=1), axis=1) > 0).all()
+
+
+def test_block_redraws_are_pinned():
+    # near m = d most rows are redrawn, pass after pass: each pass draws one
+    # (rows left, d) array, so the redraw loop may change but no row may
+    def digest(frames):
+        return hashlib.sha256(b"".join(rows.tobytes() + n.tobytes() for rows, n in frames)).hexdigest()
+
+    tight = [sim._draw_block(8, 1.0, 8, rng_stream(31, t)) for t in range(4)]  # 1 row in 416 kept
+    loose = [sim._draw_block(16, 1.0, 8, rng_stream(31, t)) for t in range(20)]
+    assert sum(len(rows) for rows, _ in tight) > 20 and sum(len(rows) for rows, _ in loose) > 200
+    assert digest(tight) == "5ea00bc626fe053776c9723831c25dc1939af21014b4b79c009caed19e9eb03e"
+    assert digest(loose) == "b706992d6b03c6616ccbf6fd464167b5cdb6aee8a09881fb4b63f0f1e35cae2c"
 
 
 def test_sampled_rows_are_valid_at_the_edges():
@@ -703,6 +716,87 @@ def test_slot_id_sums_decode_crowded_slots():
         assert recovered == gje_decode(f).recovered == dense_gje_decode(f)[0]
 
 
+def _crowded_frames():
+    """Two d=2 frames whose slot 0 holds a sum of ids past 2**32. In the
+    first, round 1 solves bursts 0..n-2 from slots of their own, and round 2
+    solves burst n-1 from slot 0, whose sum is then that id modulo 2**32;
+    bursts n and n+1 share both slots and are lost. In the second, peeling
+    solves the n1 bursts of slots of their own and stalls; the exact pass
+    then inactivates one burst of each pair sharing slot 0 and a slot of
+    their own, until slot 0 is left with burst n1+n2, a bridge to a
+    triangle: a bridge is recovered, a pair or a cycle is not."""
+    n = 100_000
+    rows = np.column_stack([np.zeros(n + 2, dtype=np.int64), np.arange(1, n + 3)])
+    rows[n:] = [n, n + 1]
+    first = FrameGraph(n_slots=n + 2, d=2, slots=rows)
+    n1, n2 = 90_000, 24_000
+    x = n1 + n2 // 2 + 1
+    rows = np.concatenate([
+        np.column_stack([np.zeros(n1, dtype=np.int64), np.arange(1, n1 + 1)]),
+        np.column_stack([np.zeros(n2, dtype=np.int64), n1 + 1 + np.arange(n2) // 2]),
+        [[0, x], [x, x + 1], [x + 1, x + 2], [x + 2, x]],
+    ])
+    second = FrameGraph(n_slots=x + 3, d=2, slots=rows)
+    return (first, n), (second, n1, n2)
+
+
+def test_slot_id_sums_past_two_to_the_32_decode():
+    # on an int32 union a slot's id sum is held modulo 2**32, and a sum of
+    # one id, below 2**31, still names its burst: in the rounds, as the
+    # int32 scatters wrap, and in the exact pass, which reduces its copies
+    (first, n), (second, n1, n2) = _crowded_frames()
+    assert sum(range(n)) > 2**32 and sum(range(n1 + n2 + 1)) > 2**32
+    assert sum(range(n1, n1 + n2 + 1)) > 2**31  # slot 0 when peeling stalls: its int32 copy wrapped
+    rep, exact = peel(first), gje_decode(first)
+    assert rep.recovered == naive_peel(first) == frozenset(range(n)) == exact.recovered
+    assert (rep.peel_iterations, exact.gje_rank, exact.inactivations) == (2, n + 1, 1)
+    rep, exact = peel(second), gje_decode(second)
+    assert rep.recovered == naive_peel(second) == frozenset(range(n1)) == exact.peeled
+    assert rep.peel_iterations == 1
+    assert exact.recovered == frozenset(range(n1)) | {n1 + n2}
+    assert (exact.gje_rank, exact.inactivations) == (n1 + n2 // 2 + 3, n2 // 2 + 1)
+
+
+def test_union_arrays_are_int32_unless_an_id_could_pass_it(monkeypatch):
+    # the slot rows, degrees and id sums are int32 while every slot and burst
+    # id fits in it, else int64: chosen by size alone and run by the same
+    # code. A union that grows past the limit switches with a frame in
+    # flight; the limit is lowered for that, so no 2**31-slot union is built
+    assert sim._union_dtype(2**31) == np.int32 and sim._union_dtype(2**31 + 1) == np.int64
+    empty = FrameGraph(n_slots=7, d=3, slots=np.zeros((0, 3), dtype=np.int64))
+    wave = sample_coupled_frame(100, build_topology(40, 3), 0.88, rng_stream(1, 2))  # 4,200 slots
+    big = sample_block_frame(4200, 1.5, 3, rng_stream(3, 0))  # more bursts than slots: the lanes grow
+    frames = [empty, wave, sample_block_frame(300, 1.0, 3, rng_stream(1, 1)), big, empty]
+    assert wave.n_active < 4200 < big.n_active
+    alone = [(g.recovered, g.peeled, g.peel_iterations, g.gje_rank, g.inactivations) for g in map(gje_decode, frames)]
+    int32, int64 = np.dtype(np.int32), np.dtype(np.int64)
+    chosen, seen, inactivate = [], [], sim._inactivate
+
+    def spy(flat, d, deg_v, acc_v, *rest):  # the dtype chosen last, and the union's
+        seen.append({chosen[-1], flat.dtype, deg_v.dtype, acc_v.dtype})
+        return inactivate(flat, d, deg_v, acc_v, *rest)
+
+    monkeypatch.setattr(sim, "_inactivate", spy)
+    # asked at the start and at each grow of three lanes of 4,200 slots: in
+    # order, the empty frame's, wave's and big's; reversed, the empty
+    # frame's and big's, while no lane holds a burst
+    cases = [(frames, 0, [int64] * 4), (frames, 15_000, [int32, int32, int32, int64])]
+    cases += [(frames[::-1], 15_000, [int32, int32, int64])]
+    for order, limit, want in cases:
+        lowered = lambda n, limit=limit: chosen.append(int32 if n <= limit else int64) or chosen[-1]  # noqa: E731
+        monkeypatch.setattr(sim, "_union_dtype", lowered)
+        want_views = [alone[frames.index(f)] for f in order]
+        for exact in (True, False):
+            chosen.clear()
+            views, left = _lane_views(order, 3, 4200, exact)
+            assert views == (want_views if exact else [(p, p, r, None, None) for _, p, r, _, _ in want_views])
+            assert chosen == want
+        assert seen and all(len(dtypes) == 1 for dtypes in seen)  # rows, degrees and sums as chosen last
+        seen.clear()
+        if order is frames and limit:
+            assert left[1] > left[3]  # wave was in flight while big grew the lanes
+
+
 @pytest.mark.parametrize("decoder", ["peeling", "gje", "both"])
 def test_run_trials_payload_does_not_depend_on_batching(monkeypatch, decoder):
     # one frame per batch, batches that split a worker chunk, and the whole
@@ -801,6 +895,18 @@ def test_exact_pass_over_two_c8_super_frames_stays_under_its_memory_bound(monkey
     assert counts[:, 1].sum() > counts[:, 2].sum()  # peeling stalled, inactivation ran
     assert peak < 4.0e6
     assert peak <= 1.02 * _c8_batch_peak(monkeypatch, [0, 1], exact=False)[0]
+
+
+def test_a_pass_of_c8_lanes_stays_under_the_three_int64_lanes_bound(monkeypatch):
+    # a C8 pass runs _MIN_LANES lanes. With int32 union arrays a lane holds
+    # ~0.60 MB, not ~1.09 MB, so five lanes peak below what three int64
+    # lanes did: 4,416,624 bytes (numpy 2.4). The peak is the first round
+    # after a full fill: 4.68 MB while a round's arrays outlived it, 4.57 MB
+    # while its burst ids were held through the cast of its slots
+    assert sim._BATCH_BURSTS // (500 * build_topology(50, 3).m_f) < sim._MIN_LANES == 5
+    peak, counts = _c8_batch_peak(monkeypatch, list(range(sim._MIN_LANES)), exact=False)
+    assert counts[:, 0].sum() > 100_000
+    assert peak < 4.417e6
 
 
 def test_gje_inactivation_count():
