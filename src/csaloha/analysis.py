@@ -2,12 +2,11 @@
 the coupled super-frame, the iterative thresholds in offered traffic G, the
 load bound G* = unique positive root of G = 1 - e^{-G/R}, and an upper bound
 on the genie-aided MAP threshold. Every DE run stops through one loop (_run)
-and every search is one bisection (bisect_load).
+and every search probes in one order (_Bisection).
 
 Block DE keeps its scalar loop in Python floats (_iterate) beside the coupled
-kernel. Run through _CoupledKernel on a d-frame circulant chain it gives the
-same block_threshold brackets for d = 2..8, bit for bit, but each call is
-18-45x slower (in-process, 2-core host: d=2 0.21 -> 3.8 s, d=3 0.007 -> 0.19 s).
+kernel, which on a d-frame circulant chain gives the same block_threshold
+brackets for d = 2..8, bit for bit, at many times the cost.
 
 The MAP bound is the area balance (Maxwell construction): the largest
 epsilon-bar with  integral of the extrinsic erasure curve p_e over
@@ -22,11 +21,12 @@ q_1 rounds to 1 (q_1 = 1 - e^{-300} at d=3, alpha=100).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoupledTopology, LoadPoint, SchemeParams, as_int, build_topology
+from .core import CoupledTopology, LoadPoint, SchemeParams, as_int, build_topology, pool_size
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,40 @@ def de_block_run(
     return _run(_iterate(params.d, load.g), cfg, record_trace)
 
 
+class _Bisection:
+    """The state of a bisection of [lo, hi] to width tol, which fixes the
+    next probe, load: the upper end first, then midpoints until the width is
+    at most tol or the ends are adjacent floats (None: the search is done).
+    p0 is carried for a warm-start search: the stop iterate of the last
+    probe that missed (record's p_T)."""
+
+    __slots__ = ("lo", "hi", "tol", "p0", "evals", "load")
+
+    def __init__(self, lo: float, hi: float, tol: float, p0=None, evals: int = 0):
+        self.lo, self.hi, self.tol, self.p0, self.evals = lo, hi, tol, p0, evals
+        self.load = self._midpoint() if evals else hi
+
+    def _midpoint(self) -> float | None:
+        mid = 0.5 * (self.lo + self.hi)
+        return mid if self.hi - self.lo > self.tol and self.lo != mid != self.hi else None
+
+    def record(self, converged, p_T=None) -> None:
+        """Take the verdict on load; a true one at the upper end raises."""
+        if converged and not self.evals:
+            raise ThresholdBracketError(f"predicate still true at upper bracket {self.hi}")
+        self.evals += 1
+        if converged:
+            self.lo = self.load
+        else:
+            self.hi, self.p0 = self.load, self.p0 if p_T is None else p_T
+        self.load = self._midpoint()
+
+    def branch(self) -> "_Bisection | None":
+        """The search that follows if load converges (None at the upper end,
+        where that would raise)."""
+        return _Bisection(self.load, self.hi, self.tol, self.p0, self.evals + 1) if self.evals else None
+
+
 def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
     """Shrink [lo, hi] to width <= tol assuming predicate is true on the low side,
     probing hi first and then midpoints. A tol below the float spacing stops
@@ -175,19 +209,10 @@ def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, flo
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
-    evals = 1
-    if predicate(hi):
-        raise ThresholdBracketError(f"predicate still true at upper bracket {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        evals += 1
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, evals
+    search = _Bisection(lo, hi, tol)
+    while (g := search.load) is not None:
+        search.record(predicate(g))
+    return search.lo, search.hi, search.evals
 
 
 def _search_tol(d: int, tol: float) -> float:
@@ -384,6 +409,7 @@ def coupled_threshold(
     l: int = 200,
     cfg: BlockDeConfig = BlockDeConfig(),
     bisect_tol: float = 1e-4,
+    workers: int = 2,
 ) -> ThresholdResult:
     """Threshold search with coupled-DE convergence on the l-chain as the
     predicate, or at d=2 its exact value g_c = 1/(2 cos(pi/(l+2))), returned
@@ -409,6 +435,12 @@ def coupled_threshold(
     checked, not proved: ROADMAP item 8), so f_g^T(1) <= p_T <= 1 by induction
     and f_g^{t+T}(1) <= f_g^t(p_T) <= f_g^t(1): a warm run is never behind
     de_coupled_run's cold one, and it reaches the same limit.
+
+    workers counts the processes of the search, the caller's included; it is
+    clamped by core.pool_size, and it is 1 where os.fork is missing. At 2 a
+    forked helper runs, after the upper end, the probes that follow if the
+    current one converges (see _SearchAhead). Every probe's input is fixed by
+    the verdicts before it, so the result never depends on workers.
     """
     topo = build_topology(l, d)
     if topo.d == 2:
@@ -416,15 +448,164 @@ def coupled_threshold(
         g_c = 0.5 / math.cos(math.pi / (topo.l + 2))
         return ThresholdResult(g_c, g_c, g_c, 0)
     kernel = _CoupledKernel(topo)
-    p0 = np.ones(kernel.p.shape[1])
+    search = _Bisection(0.0, 1.2, _search_tol(d, bisect_tol), np.ones(kernel.p.shape[1]))
+    lo, hi, evals = _SearchAhead(kernel, cfg, search, pool_size(workers, 2) if hasattr(os, "fork") else 1).run()
+    return ThresholdResult(0.5 * (lo + hi), lo, hi, evals)
 
-    def converges(g):
-        res = _run(kernel.start(g, p0).advance, cfg, False)
-        if not res.converged:  # the stop iterate: _run's blocks start at multiples of _BLOCK
-            np.copyto(p0, kernel.p[(res.iterations - 1) % _BLOCK + 1])
-        return res.converged
 
-    return threshold(d, converges, bisect_tol)
+class _Replan(Exception):
+    """Raised through _run from the parent's advance: its probe is not needed."""
+
+
+@dataclass
+class _Helper:
+    """A forked process running the branch of the search's probe `of`."""
+
+    pid: int
+    pipe: int  # read end, non-blocking
+    branch: _Bisection  # its search, advanced by each verdict read
+    of: float
+    unread: bytes = b""
+
+
+class _SearchAhead:
+    """A warm-start search on up to two processes, the caller (the parent)
+    and one forked helper, with the probes and verdicts of the search run
+    alone.
+
+    A probe that converges leaves p0 alone, so the probes that follow it,
+    its branch, are known with their exact inputs before its verdict. While
+    one process runs the search's next probe g, the other runs g's branch as
+    a search of its own. Each verdict lands in `known`, keyed by its load: a
+    bisection never probes one load twice, and the verdicts on the way to a
+    load fix its input, so a verdict from a branch is the search's own once
+    the search reaches that load. If g converges, the process on its branch
+    holds the search's next probe, and the other turns to that probe's
+    branch; if not, g's branch is dropped. A helper is dropped by SIGKILL
+    and reaped, and a new one forked; the parent's probe by _Replan, raised
+    from the advance it gives _run, which reads the helper's verdicts after
+    every block. The helper exits at the end of its branch; an end of file
+    before that means it died, and the parent goes on alone. A helper runs
+    only the kernel's ufuncs, never BLAS, whose threads a fork does not copy.
+    """
+
+    def __init__(self, kernel: _CoupledKernel, cfg: BlockDeConfig, search: _Bisection, workers: int):
+        self.kernel, self.cfg, self.search, self.workers = kernel, cfg, search, workers
+        self.size = 8 * (kernel.p.shape[1] + 2)  # one verdict: g, converged, p_T, as float64
+        self.known: dict[float, tuple] = {}  # load -> (converged, p_T)
+        self.helper: _Helper | None = None
+        self.mine = None  # the load of the parent's probe while it runs
+
+    def run(self) -> tuple[float, float, int]:
+        search = self.search
+        try:
+            while (mine := self._plan()) is not None or search.load is not None:
+                if mine is None:  # the helper runs the next probe, and its branch is done
+                    self._read(block=True)
+                    continue
+                self.mine = mine.load
+                try:
+                    self.known[self.mine] = self._probe(mine, self._advance)
+                except _Replan:
+                    pass
+                self.mine = None
+            return search.lo, search.hi, search.evals
+        finally:
+            self._drop_helper()
+
+    def _probe(self, search: _Bisection, advance) -> tuple[bool, np.ndarray]:
+        self.kernel.start(search.load, search.p0)
+        res = _run(advance, self.cfg, False)
+        # the stop iterate: _run's blocks start at multiples of _BLOCK
+        return res.converged, self.kernel.p[(res.iterations - 1) % _BLOCK + 1].copy()
+
+    def _advance(self, n: int):
+        out = self.kernel.advance(n)
+        if self.helper and self._read(block=False):
+            mine = self._plan()
+            if mine is None or mine.load != self.mine:
+                raise _Replan
+        return out
+
+    def _follow(self, search: _Bisection | None) -> _Bisection | None:
+        while search is not None and search.load in self.known:
+            search.record(*self.known[search.load])
+        return search
+
+    def _plan(self) -> _Bisection | None:
+        """Take the known verdicts into the search; return the search whose
+        next probe the parent runs (None: it waits, or the search is done),
+        with the helper on the other's branch."""
+        g = self._follow(self.search).load
+        if g is None:
+            return None
+        ahead = self._follow(self.search.branch())
+        ahead = ahead if ahead and ahead.load is not None else None
+        helper = self.helper
+        if helper and helper.branch.load == g and self.mine != g:
+            return ahead
+        if not (helper and helper.of == g):
+            self._drop_helper()
+            if ahead and self.workers > 1:
+                self._fork(ahead, g)
+        return self.search
+
+    def _fork(self, branch: _Bisection, g: float) -> None:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: search alone
+            os.close(r), os.close(w)
+            self.workers = 1
+            return
+        if pid == 0:  # the helper: run the branch, send each verdict, exit
+            try:
+                os.close(r)
+                while (load := branch.load) is not None:
+                    converged, p_T = self._probe(branch, self.kernel.advance)
+                    branch.record(converged, p_T)
+                    view = memoryview(np.concatenate(([load, converged], p_T)).tobytes())
+                    while view:
+                        view = view[os.write(w, view) :]
+            finally:
+                os._exit(0)
+        os.close(w)
+        os.set_blocking(r, False)
+        self.helper = _Helper(pid, r, branch, g)
+
+    def _read(self, block: bool) -> bool:
+        """Take the helper's finished verdicts into known; True if any came
+        or the helper is gone."""
+        helper = self.helper
+        if block:
+            os.set_blocking(helper.pipe, True)
+        try:
+            data = os.read(helper.pipe, 1 << 16)
+        except BlockingIOError:
+            return False
+        if block:
+            os.set_blocking(helper.pipe, False)
+        if not data:  # the helper exited: at the end of its branch, or it died
+            if helper.branch.load is not None:
+                self.workers = 1
+            self._drop_helper()
+            return True
+        helper.unread += data
+        n = len(helper.unread) // self.size
+        for row in np.frombuffer(helper.unread[: n * self.size]).reshape(n, -1):
+            self.known[float(row[0])] = verdict = (bool(row[1]), row[2:].copy())
+            helper.branch.record(*verdict)
+        helper.unread = helper.unread[n * self.size :]
+        return n > 0
+
+    def _drop_helper(self) -> None:
+        if self.helper:
+            import signal  # here: its import costs the package's load ~1 ms, and a search may run no helper
+
+            helper, self.helper = self.helper, None
+            os.close(helper.pipe)
+            os.kill(helper.pid, signal.SIGKILL)
+            os.waitpid(helper.pid, 0)
 
 
 def termination_adjusted_load(g: float, l: int, d: int) -> float:

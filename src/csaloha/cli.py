@@ -14,7 +14,9 @@ density-evolution search at d >= 3.
 Exit codes: 0 success, 2 parameter error (or an unwritable --out), 3 numerical failure.
 The CSA_THREADS environment variable sets the worker count used to fan out
 independent rows / trial batches (default 1). The pool never has more
-workers than CPUs or than rows / trials.
+workers than CPUs or than rows / trials. A table row's coupled search gets
+what the rows leave (CSA_THREADS // row workers processes), so it runs a
+forked helper only when that is 2 or more.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .analysis import (
     map_load_bound,
     solve_load_bound,
 )
-from .core import SchemeParams, build_topology, pool_map
+from .core import SchemeParams, build_topology, pool_map, pool_size
 from .sim import run_trials
 
 _THRESH_COLS = ["d", "g_it_block", "g_it_coupled", "g_map_bound", "g_star", "efficiency"]
@@ -56,9 +58,9 @@ def _workers() -> int:
 def _row(task) -> dict:
     """Every column of a thresholds or sweep row for one degree; only the
     coupled column runs density evolution (a search, at d >= 3)."""
-    d, l, params, tol, max_iters = task
+    d, l, params, tol, max_iters, workers = task
     cfg = BlockDeConfig() if max_iters is None else BlockDeConfig(max_iters=max_iters)
-    g_coupled = coupled_threshold(d, l, cfg, 1e-4 if tol is None else tol).threshold
+    g_coupled = coupled_threshold(d, l, cfg, 1e-4 if tol is None else tol, workers).threshold
     g_star = solve_load_bound(1.0 / d)
     return {
         "d": d,
@@ -74,7 +76,10 @@ def _row(task) -> dict:
 def _table(args, cols, ds, alpha) -> int:
     # SchemeParams checks alpha and d*alpha, and the chain's topology l, for every row before the long DE runs
     tasks = [(d, build_topology(args.l, d).l, SchemeParams(d, alpha), args.tol, args.max_iters) for d in ds]
-    rows = pool_map(_row, tasks, _workers())
+    # rows times each row's search processes stay within CSA_THREADS
+    threads = _workers()
+    row_workers = pool_size(threads, len(tasks))
+    rows = pool_map(_row, [task + (threads // row_workers,) for task in tasks], row_workers)
     _write(_emit_table(cols, rows, args), args.out)
     return 0
 

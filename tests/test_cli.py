@@ -175,6 +175,38 @@ def test_thresholds_table_does_not_depend_on_worker_count(capsys, monkeypatch):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
+@pytest.mark.parametrize(
+    "threads,argv,rows,search",
+    [
+        (None, ["thresholds", "--d-max", "3"], 1, 1),
+        ("2", ["thresholds", "--d-max", "3"], 2, 1),
+        ("5", ["thresholds", "--d-max", "3"], 2, 2),
+        ("4", ["sweep", "--d-list", "3"], 1, 4),
+    ],
+)
+def test_csa_threads_bounds_rows_times_search_processes(capsys, monkeypatch, threads, argv, rows, search):
+    # the row pool's workers times each row's search processes stay within
+    # CSA_THREADS (8 CPUs reported); the rows run in-process here
+    import os
+
+    seen = []
+
+    def in_process(fn, tasks, requested):
+        seen.append((requested, {task[-1] for task in tasks}))
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "pool_map", in_process)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if threads is not None:
+        monkeypatch.setenv("CSA_THREADS", threads)
+    else:
+        monkeypatch.delenv("CSA_THREADS", raising=False)
+    rc, out, _ = run_cli(capsys, *argv, "--l", "20", "--tol", "1e-3")
+    assert rc == 0 and seen == [(rows, {search})]
+    monkeypatch.delenv("CSA_THREADS", raising=False)
+    assert run_cli(capsys, *argv, "--l", "20", "--tol", "1e-3")[1] == out
+
+
 def test_sweep_rows_equal_thresholds_rows(capsys):
     argv = ["--l", "20", "--tol", "1e-3"]
     _, sweep, _ = run_cli(capsys, "sweep", "--d-list", "2,3", *argv)
