@@ -2,7 +2,7 @@
 the coupled super-frame, the iterative thresholds in offered traffic G, the
 load bound G* = unique positive root of G = 1 - e^{-G/R}, and an upper bound
 on the genie-aided MAP threshold. Every DE run stops through one loop (_run)
-and every search probes in one order (_Bisection).
+and every search probes in bisect_load's order.
 
 Block DE keeps its scalar loop in Python floats (_iterate) beside the coupled
 kernel, which on a d-frame circulant chain gives the same block_threshold
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,54 +166,66 @@ def de_block_run(
     return _run(_iterate(params.d, load.g), cfg, record_trace)
 
 
-class _Bisection:
-    """The state of a bisection of [lo, hi] to width tol, which fixes the
-    next probe, load: the upper end first, then midpoints until the width is
-    at most tol or the ends are adjacent floats (None: the search is done).
-    p0 is carried for a warm-start search: the stop iterate of the last
-    probe that missed (record's p_T)."""
+def _midpoint(lo: float, hi: float, tol: float) -> float | None:
+    """A bisection's probe after the upper end: the midpoint of [lo, hi], or
+    None once the width is at most tol or the ends are adjacent floats."""
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > tol and lo != mid != hi else None
 
-    __slots__ = ("lo", "hi", "tol", "p0", "evals", "load")
 
-    def __init__(self, lo: float, hi: float, tol: float, p0=None, evals: int = 0):
-        self.lo, self.hi, self.tol, self.p0, self.evals = lo, hi, tol, p0, evals
-        self.load = self._midpoint() if evals else hi
-
-    def _midpoint(self) -> float | None:
-        mid = 0.5 * (self.lo + self.hi)
-        return mid if self.hi - self.lo > self.tol and self.lo != mid != self.hi else None
-
-    def record(self, converged, p_T=None) -> None:
-        """Take the verdict on load; a true one at the upper end raises."""
-        if converged and not self.evals:
-            raise ThresholdBracketError(f"predicate still true at upper bracket {self.hi}")
-        self.evals += 1
-        if converged:
-            self.lo = self.load
-        else:
-            self.hi, self.p0 = self.load, self.p0 if p_T is None else p_T
-        self.load = self._midpoint()
-
-    def branch(self) -> "_Bisection | None":
-        """The search that follows if load converges (None at the upper end,
-        where that would raise)."""
-        return _Bisection(self.load, self.hi, self.tol, self.p0, self.evals + 1) if self.evals else None
+def _bracket_error(hi: float) -> ThresholdBracketError:
+    return ThresholdBracketError(f"predicate still true at upper bracket {hi}")
 
 
 def bisect_load(predicate, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
     """Shrink [lo, hi] to width <= tol assuming predicate is true on the low side,
-    probing hi first and then midpoints. A tol below the float spacing stops
-    at adjacent floats.
+    probing hi first and then midpoints (_midpoint). A tol below the float
+    spacing stops at adjacent floats.
 
     predicate(hi) must be false, else the bracket is too small and the search
     is meaningless; that case raises ThresholdBracketError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
-    search = _Bisection(lo, hi, tol)
-    while (g := search.load) is not None:
-        search.record(predicate(g))
-    return search.lo, search.hi, search.evals
+    if predicate(hi):
+        raise _bracket_error(hi)
+    evals = 1
+    while (mid := _midpoint(lo, hi, tol)) is not None:
+        evals += 1
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, evals
+
+
+class _Bisection:
+    """bisect_load's search as a state, which fixes the next probe, load
+    (None: the search is done), and can be copied along a branch. p0 is
+    carried for a warm-start search: the stop iterate of the last probe that
+    missed (record's p_T)."""
+
+    __slots__ = ("lo", "hi", "tol", "p0", "evals", "load")
+
+    def __init__(self, lo: float, hi: float, tol: float, p0=None, evals: int = 0):
+        self.lo, self.hi, self.tol, self.p0, self.evals = lo, hi, tol, p0, evals
+        self.load = _midpoint(lo, hi, tol) if evals else hi
+
+    def record(self, converged, p_T=None) -> None:
+        """Take the verdict on load; a true one at the upper end raises."""
+        if converged and not self.evals:
+            raise _bracket_error(self.hi)
+        self.evals += 1
+        if converged:
+            self.lo = self.load
+        else:
+            self.hi, self.p0 = self.load, self.p0 if p_T is None else p_T
+        self.load = _midpoint(self.lo, self.hi, self.tol)
+
+    def branch(self) -> "_Bisection | None":
+        """The search that follows if load converges (None at the upper end,
+        where that would raise)."""
+        return _Bisection(self.load, self.hi, self.tol, self.p0, self.evals + 1) if self.evals else None
 
 
 def _search_tol(d: int, tol: float) -> float:
@@ -409,7 +422,7 @@ def coupled_threshold(
     l: int = 200,
     cfg: BlockDeConfig = BlockDeConfig(),
     bisect_tol: float = 1e-4,
-    workers: int = 2,
+    workers: int | None = None,
 ) -> ThresholdResult:
     """Threshold search with coupled-DE convergence on the l-chain as the
     predicate, or at d=2 its exact value g_c = 1/(2 cos(pi/(l+2))), returned
@@ -436,11 +449,13 @@ def coupled_threshold(
     and f_g^{t+T}(1) <= f_g^t(p_T) <= f_g^t(1): a warm run is never behind
     de_coupled_run's cold one, and it reaches the same limit.
 
-    workers counts the processes of the search, the caller's included; it is
-    clamped by core.pool_size, and it is 1 where os.fork is missing. At 2 a
-    forked helper runs, after the upper end, the probes that follow if the
-    current one converges (see _SearchAhead). Every probe's input is fixed by
-    the verdicts before it, so the result never depends on workers.
+    workers counts the processes of the search, the caller's included, and
+    defaults (None) to 2: by default the call forks a helper process, which
+    runs, after the upper end, the probes that follow if the current one
+    converges (see _SearchAhead), and which is reaped before the call
+    returns or raises. _search_processes clamps it; the CLI passes its share
+    of CSA_THREADS. Every probe's input is fixed by the verdicts before it,
+    so the result never depends on workers.
     """
     topo = build_topology(l, d)
     if topo.d == 2:
@@ -449,8 +464,20 @@ def coupled_threshold(
         return ThresholdResult(g_c, g_c, g_c, 0)
     kernel = _CoupledKernel(topo)
     search = _Bisection(0.0, 1.2, _search_tol(d, bisect_tol), np.ones(kernel.p.shape[1]))
-    lo, hi, evals = _SearchAhead(kernel, cfg, search, pool_size(workers, 2) if hasattr(os, "fork") else 1).run()
+    lo, hi, evals = _SearchAhead(kernel, cfg, search, _search_processes(workers)).run()
     return ThresholdResult(0.5 * (lo + hi), lo, hi, evals)
+
+
+def _search_processes(workers: int | None) -> int:
+    """The processes a coupled search runs on: workers (None: 2), clamped by
+    core.pool_size and by the CPUs this process may run on (its affinity
+    mask; a cgroup CPU quota is not read), and 1 without os.fork or while
+    another Python thread runs, which a fork would not copy (a lock it held
+    would stay held in the helper)."""
+    n = pool_size(2 if workers is None else workers, 2)
+    if n > 1 and hasattr(os, "sched_getaffinity"):
+        n = min(n, len(os.sched_getaffinity(0)))
+    return n if hasattr(os, "fork") and threading.active_count() == 1 else 1
 
 
 class _Replan(Exception):

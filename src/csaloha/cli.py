@@ -12,11 +12,13 @@ coupled column at d=2; --tol and --max-iters set the coupled column's
 density-evolution search at d >= 3.
 
 Exit codes: 0 success, 2 parameter error (or an unwritable --out), 3 numerical failure.
-The CSA_THREADS environment variable sets the worker count used to fan out
-independent rows / trial batches (default 1). The pool never has more
-workers than CPUs or than rows / trials. A table row's coupled search gets
-what the rows leave (CSA_THREADS // row workers processes), so it runs a
-forked helper only when that is 2 or more.
+The CSA_THREADS environment variable caps the processes a command runs. The
+independent rows / trial batches fan out to a pool of that many workers, or
+fewer: never more than CPUs or than rows / trials. A table row's coupled
+search gets what the rows leave (CSA_THREADS // row workers processes), so
+it runs a forked helper only when that is 2 or more. Unset, the rows and
+trials run in the calling process, and each coupled search on
+coupled_threshold's default of two processes. No output depends on it.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ _THRESH_COLS = ["d", "g_it_block", "g_it_coupled", "g_map_bound", "g_star", "eff
 _SWEEP_COLS = ["rate", "g_it_block", "g_it_coupled", "g_star"]
 
 
-def _workers() -> int:
+def _workers() -> int | None:
+    """CSA_THREADS, or None if it is unset."""
     raw = os.environ.get("CSA_THREADS", "")
     try:
-        return max(1, int(raw)) if raw else 1
+        return max(1, int(raw)) if raw else None
     except ValueError:
         raise ValueError(f"CSA_THREADS must be an integer, got {raw!r}")
 
@@ -76,10 +79,12 @@ def _row(task) -> dict:
 def _table(args, cols, ds, alpha) -> int:
     # SchemeParams checks alpha and d*alpha, and the chain's topology l, for every row before the long DE runs
     tasks = [(d, build_topology(args.l, d).l, SchemeParams(d, alpha), args.tol, args.max_iters) for d in ds]
-    # rows times each row's search processes stay within CSA_THREADS
+    # rows times each row's search processes stay within CSA_THREADS; unset,
+    # the rows run in turn, each search on coupled_threshold's default
     threads = _workers()
-    row_workers = pool_size(threads, len(tasks))
-    rows = pool_map(_row, [task + (threads // row_workers,) for task in tasks], row_workers)
+    row_workers = 1 if threads is None else pool_size(threads, len(tasks))
+    search = None if threads is None else threads // row_workers
+    rows = pool_map(_row, [task + (search,) for task in tasks], row_workers)
     _write(_emit_table(cols, rows, args), args.out)
     return 0
 
@@ -153,7 +158,7 @@ def _cmd_simulate(args) -> int:
         l=args.l,
         alpha=args.alpha,
         decoder=args.decoder,
-        workers=_workers(),
+        workers=_workers() or 1,
     )
     payload = report.to_dict()
     payload["wall_time_s"] = time.perf_counter() - t0

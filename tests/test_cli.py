@@ -178,7 +178,8 @@ def test_thresholds_table_does_not_depend_on_worker_count(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "threads,argv,rows,search",
     [
-        (None, ["thresholds", "--d-max", "3"], 1, 1),
+        (None, ["thresholds", "--d-max", "3"], 1, None),
+        ("1", ["thresholds", "--d-max", "3"], 1, 1),
         ("2", ["thresholds", "--d-max", "3"], 2, 1),
         ("5", ["thresholds", "--d-max", "3"], 2, 2),
         ("4", ["sweep", "--d-list", "3"], 1, 4),
@@ -186,7 +187,9 @@ def test_thresholds_table_does_not_depend_on_worker_count(capsys, monkeypatch):
 )
 def test_csa_threads_bounds_rows_times_search_processes(capsys, monkeypatch, threads, argv, rows, search):
     # the row pool's workers times each row's search processes stay within
-    # CSA_THREADS (8 CPUs reported); the rows run in-process here
+    # CSA_THREADS (8 CPUs reported); unset, the rows run in turn and each
+    # search on coupled_threshold's default (None), which the benchmark's
+    # thresholds row runs too. The rows run in-process here
     import os
 
     seen = []

@@ -3,6 +3,7 @@ results of the search run alone, and no process left behind."""
 
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -38,9 +39,9 @@ def _no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the helpers forked, with two CPUs reported whatever the
-    host has; a test that blocks for 60 s fails (SIGALRM, not inherited by
-    a helper)."""
+    """The pids of the helpers forked, with two CPUs reported and allowed
+    whatever the host has; a test that blocks for 60 s fails (SIGALRM, not
+    inherited by a helper)."""
     pids, fork = [], os.fork
 
     def counted():
@@ -54,6 +55,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(60)
     yield pids
@@ -66,6 +68,26 @@ def test_two_processes_give_the_search_run_alone(forks, d):
     alone = _alone(d, 20, _CFG, 1e-4)
     assert coupled_threshold(d, 20, _CFG, 1e-4, workers=1) == alone and not forks
     assert coupled_threshold(d, 20, _CFG, 1e-4, workers=2) == alone and forks
+    _no_child_left()
+
+
+def test_the_default_forks_a_helper_only_where_it_may(monkeypatch, forks):
+    alone = _alone(3, 20, _CFG, 1e-4)
+    assert coupled_threshold(3, 20, _CFG, 1e-4) == alone and forks
+    forks.clear()
+    # one CPU in the affinity mask, whatever os.cpu_count says
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert coupled_threshold(3, 20, _CFG, 1e-4) == alone and not forks
+    # another thread running, which a fork would not copy
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert coupled_threshold(3, 20, _CFG, 1e-4, workers=2) == alone and not forks
+    finally:
+        done.set()
+        thread.join()
     _no_child_left()
 
 
