@@ -2,7 +2,9 @@
 the coupled super-frame, the iterative thresholds in offered traffic G, the
 load bound G* = unique positive root of G = 1 - e^{-G/R}, and an upper bound
 on the genie-aided MAP threshold. Every DE run stops through one loop (_run)
-and every search probes in bisect_load's order.
+and every search probes in bisect_load's order; the coupled search hands each
+probe that outlasts a block to a forked child and runs the probes that follow
+if it converges (_SearchAhead), with the verdicts of the search run alone.
 
 Block DE keeps its scalar loop in Python floats (_iterate) beside the coupled
 kernel, which on a d-frame circulant chain gives the same block_threshold
@@ -223,9 +225,11 @@ class _Bisection:
         self.load = _midpoint(self.lo, self.hi, self.tol)
 
     def branch(self) -> "_Bisection | None":
-        """The search that follows if load converges (None at the upper end,
-        where that would raise)."""
-        return _Bisection(self.load, self.hi, self.tol, self.p0, self.evals + 1) if self.evals else None
+        """The search that follows if load converges, or None where it has no
+        probe: at the upper end, where that would raise, and at the last."""
+        if self.evals and _midpoint(self.load, self.hi, self.tol) is not None:
+            return _Bisection(self.load, self.hi, self.tol, self.p0, self.evals + 1)
+        return None
 
 
 def _search_tol(d: int, tol: float) -> float:
@@ -450,12 +454,12 @@ def coupled_threshold(
     de_coupled_run's cold one, and it reaches the same limit.
 
     workers counts the processes of the search, the caller's included, and
-    defaults (None) to 2: by default the call forks a helper process, which
-    runs, after the upper end, the probes that follow if the current one
-    converges (see _SearchAhead), and which is reaped before the call
-    returns or raises. _search_processes clamps it; the CLI passes its share
-    of CSA_THREADS. Every probe's input is fixed by the verdicts before it,
-    so the result never depends on workers.
+    defaults (None) to 2: by default a probe that outlasts its first block
+    is handed to a forked child while the caller runs the probes that follow
+    if it converges (see _SearchAhead). Every child is reaped before the call
+    returns or raises. _search_processes clamps workers; the CLI passes its
+    share of CSA_THREADS. Every probe's input is fixed by the verdicts before
+    it, so the result never depends on workers.
     """
     topo = build_topology(l, d)
     if topo.d == 2:
@@ -470,114 +474,68 @@ def coupled_threshold(
 
 def _search_processes(workers: int | None) -> int:
     """The processes a coupled search runs on: workers (None: 2), clamped by
-    core.pool_size and by the CPUs this process may run on (its affinity
-    mask; a cgroup CPU quota is not read), and 1 without os.fork or while
-    another Python thread runs, which a fork would not copy (a lock it held
-    would stay held in the helper)."""
+    core.pool_size, and 1 without os.fork or while another Python thread
+    runs, which a fork would not copy (a lock it held would stay held in the
+    child)."""
     n = pool_size(2 if workers is None else workers, 2)
-    if n > 1 and hasattr(os, "sched_getaffinity"):
-        n = min(n, len(os.sched_getaffinity(0)))
     return n if hasattr(os, "fork") and threading.active_count() == 1 else 1
 
 
-class _Replan(Exception):
-    """Raised through _run from the parent's advance: its probe is not needed."""
-
-
-@dataclass
-class _Helper:
-    """A forked process running the branch of the search's probe `of`."""
-
-    pid: int
-    pipe: int  # read end, non-blocking
-    branch: _Bisection  # its search, advanced by each verdict read
-    of: float
-    unread: bytes = b""
+class _Handed(Exception):
+    """Raised through _run from the caller's advance: the probe is no longer the caller's."""
 
 
 class _SearchAhead:
-    """A warm-start search on up to two processes, the caller (the parent)
-    and one forked helper, with the probes and verdicts of the search run
-    alone.
+    """A warm-start search on the caller and at most one forked child, with
+    the probes and verdicts of the search run alone.
 
     A probe that converges leaves p0 alone, so the probes that follow it,
-    its branch, are known with their exact inputs before its verdict. While
-    one process runs the search's next probe g, the other runs g's branch as
-    a search of its own. Each verdict lands in `known`, keyed by its load: a
-    bisection never probes one load twice, and the verdicts on the way to a
-    load fix its input, so a verdict from a branch is the search's own once
-    the search reaches that load. If g converges, the process on its branch
-    holds the search's next probe, and the other turns to that probe's
-    branch; if not, g's branch is dropped. A helper is dropped by SIGKILL
-    and reaped, and a new one forked; the parent's probe by _Replan, raised
-    from the advance it gives _run, which reads the helper's verdicts after
-    every block. The helper exits at the end of its branch; an end of file
-    before that means it died, and the parent goes on alone. A helper runs
-    only the kernel's ufuncs, never BLAS, whose threads a fork does not copy.
+    its branch, are known with their inputs before its verdict. At the
+    second block of the search's next probe g, the caller forks a child,
+    which runs the rest of g (the stop rule's screen is exact for any
+    witnesses), sends (g, converged, p_T) and exits, and runs g's branch as
+    a search of its own, reading the pipe before each block. A "yes" makes
+    the branch the search, whose probe then gets a child in the same way; a
+    "no" drops the branch. A child runs only the kernel's ufuncs, never
+    BLAS, whose threads a fork does not copy, and ends in os._exit.
     """
 
     def __init__(self, kernel: _CoupledKernel, cfg: BlockDeConfig, search: _Bisection, workers: int):
         self.kernel, self.cfg, self.search, self.workers = kernel, cfg, search, workers
-        self.size = 8 * (kernel.p.shape[1] + 2)  # one verdict: g, converged, p_T, as float64
-        self.known: dict[float, tuple] = {}  # load -> (converged, p_T)
-        self.helper: _Helper | None = None
-        self.mine = None  # the load of the parent's probe while it runs
+        self.mine = self.running = search  # the search the caller runs (a branch beside a child), its probe's
+        self.size = 8 * (kernel.p.shape[1] + 2)  # the record: g, converged, p_T, as float64
+        self.child, self.blocks = None, 0  # (pid, read end); the blocks of the running probe
 
     def run(self) -> tuple[float, float, int]:
-        search = self.search
         try:
-            while (mine := self._plan()) is not None or search.load is not None:
-                if mine is None:  # the helper runs the next probe, and its branch is done
-                    self._read(block=True)
+            while self.search.load is not None:
+                if self.mine.load is None:  # the branch is done: wait for the child's verdict
+                    self._receive(block=True)
                     continue
-                self.mine = mine.load
                 try:
-                    self.known[self.mine] = self._probe(mine, self._advance)
-                except _Replan:
+                    self.kernel.start(self.mine.load, self.mine.p0)
+                    self.running, self.blocks = self.mine, 0
+                    self.mine.record(*self._verdict(_run(self._advance, self.cfg, False)))
+                except _Handed:  # the probe went to a child, or a "no" or a dead child dropped it
                     pass
-                self.mine = None
-            return search.lo, search.hi, search.evals
+            return self.search.lo, self.search.hi, self.search.evals
         finally:
-            self._drop_helper()
+            self._drop_child()
 
-    def _probe(self, search: _Bisection, advance) -> tuple[bool, np.ndarray]:
-        self.kernel.start(search.load, search.p0)
-        res = _run(advance, self.cfg, False)
+    def _verdict(self, res: DeResult) -> tuple[bool, np.ndarray]:
         # the stop iterate: _run's blocks start at multiples of _BLOCK
         return res.converged, self.kernel.p[(res.iterations - 1) % _BLOCK + 1].copy()
 
     def _advance(self, n: int):
-        out = self.kernel.advance(n)
-        if self.helper and self._read(block=False):
-            mine = self._plan()
-            if mine is None or mine.load != self.mine:
-                raise _Replan
-        return out
+        if self.child and self._receive(block=False) and self.running is not self.search:
+            raise _Handed
+        if self.blocks and not self.child and self.workers > 1 and (branch := self.search.branch()):
+            self._fork(branch)
+        self.blocks += 1
+        return self.kernel.advance(n)
 
-    def _follow(self, search: _Bisection | None) -> _Bisection | None:
-        while search is not None and search.load in self.known:
-            search.record(*self.known[search.load])
-        return search
-
-    def _plan(self) -> _Bisection | None:
-        """Take the known verdicts into the search; return the search whose
-        next probe the parent runs (None: it waits, or the search is done),
-        with the helper on the other's branch."""
-        g = self._follow(self.search).load
-        if g is None:
-            return None
-        ahead = self._follow(self.search.branch())
-        ahead = ahead if ahead and ahead.load is not None else None
-        helper = self.helper
-        if helper and helper.branch.load == g and self.mine != g:
-            return ahead
-        if not (helper and helper.of == g):
-            self._drop_helper()
-            if ahead and self.workers > 1:
-                self._fork(ahead, g)
-        return self.search
-
-    def _fork(self, branch: _Bisection, g: float) -> None:
+    def _fork(self, branch: _Bisection) -> None:
+        """Hand the search's next probe to a child and turn to its branch."""
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -585,54 +543,44 @@ class _SearchAhead:
             os.close(r), os.close(w)
             self.workers = 1
             return
-        if pid == 0:  # the helper: run the branch, send each verdict, exit
+        if pid == 0:  # the child: the rest of the probe, under the cap it has left
             try:
-                os.close(r)
-                while (load := branch.load) is not None:
-                    converged, p_T = self._probe(branch, self.kernel.advance)
-                    branch.record(converged, p_T)
-                    view = memoryview(np.concatenate(([load, converged], p_T)).tobytes())
-                    while view:
-                        view = view[os.write(w, view) :]
+                cfg = BlockDeConfig(self.cfg.max_iters - self.blocks * _BLOCK)
+                converged, p_T = self._verdict(_run(self.kernel.advance, cfg, False))
+                view = memoryview(np.concatenate(([self.search.load, converged], p_T)).tobytes())
+                while view:
+                    view = view[os.write(w, view) :]
             finally:
                 os._exit(0)
         os.close(w)
-        os.set_blocking(r, False)
-        self.helper = _Helper(pid, r, branch, g)
+        self.child, self.mine = (pid, open(r, "rb")), branch
+        raise _Handed
 
-    def _read(self, block: bool) -> bool:
-        """Take the helper's finished verdicts into known; True if any came
-        or the helper is gone."""
-        helper = self.helper
-        if block:
-            os.set_blocking(helper.pipe, True)
-        try:
-            data = os.read(helper.pipe, 1 << 16)
-        except BlockingIOError:
+    def _receive(self, block: bool) -> bool:
+        """Take the child's record into the search; False while none is ready."""
+        import select  # here, as signal below
+
+        if not (block or select.select([self.child[1]], [], [], 0)[0]):
             return False
-        if block:
-            os.set_blocking(helper.pipe, False)
-        if not data:  # the helper exited: at the end of its branch, or it died
-            if helper.branch.load is not None:
-                self.workers = 1
-            self._drop_helper()
-            return True
-        helper.unread += data
-        n = len(helper.unread) // self.size
-        for row in np.frombuffer(helper.unread[: n * self.size]).reshape(n, -1):
-            self.known[float(row[0])] = verdict = (bool(row[1]), row[2:].copy())
-            helper.branch.record(*verdict)
-        helper.unread = helper.unread[n * self.size :]
-        return n > 0
+        data = self.child[1].read(self.size)  # short at an end of file
+        self._drop_child()
+        if len(data) < self.size:  # the child died: search alone
+            self.workers, self.mine = 1, self.search
+        elif (record := np.frombuffer(data))[1]:  # "yes": the branch is the search
+            self.search = self.mine
+        else:  # "no": the branch is dropped
+            self.search.record(False, record[2:].copy())
+            self.mine = self.search
+        return True
 
-    def _drop_helper(self) -> None:
-        if self.helper:
-            import signal  # here: its import costs the package's load ~1 ms, and a search may run no helper
+    def _drop_child(self) -> None:
+        if self.child:
+            import signal  # here: its import costs the package's load ~1 ms, and a search may fork nothing
 
-            helper, self.helper = self.helper, None
-            os.close(helper.pipe)
-            os.kill(helper.pid, signal.SIGKILL)
-            os.waitpid(helper.pid, 0)
+            (pid, pipe), self.child = self.child, None
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def termination_adjusted_load(g: float, l: int, d: int) -> float:

@@ -16,7 +16,7 @@ The CSA_THREADS environment variable caps the processes a command runs. The
 independent rows / trial batches fan out to a pool of that many workers, or
 fewer: never more than CPUs or than rows / trials. A table row's coupled
 search gets what the rows leave (CSA_THREADS // row workers processes), so
-it runs a forked helper only when that is 2 or more. Unset, the rows and
+it forks children only when that is 2 or more. Unset, the rows and
 trials run in the calling process, and each coupled search on
 coupled_threshold's default of two processes. No output depends on it.
 """

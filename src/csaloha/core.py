@@ -112,8 +112,11 @@ def build_circulant_topology(l: int, d: int) -> CoupledTopology:
 
 def pool_size(requested: int, tasks: int) -> int:
     """Worker processes to start for `tasks` independent tasks: no more than
-    requested, than the CPUs and than the tasks. 1 means run in-process."""
-    return max(1, min(requested, os.cpu_count() or 1, tasks))
+    requested, than the CPUs this process may run on (its affinity mask
+    where the OS has one, else os.cpu_count(); a cgroup CPU quota is not
+    read) and than the tasks. 1 means run in-process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(requested, cpus, tasks))
 
 
 def pool_map(fn, tasks: list, requested: int) -> list:

@@ -200,6 +200,7 @@ def test_csa_threads_bounds_rows_times_search_processes(capsys, monkeypatch, thr
 
     monkeypatch.setattr(cli, "pool_map", in_process)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     if threads is not None:
         monkeypatch.setenv("CSA_THREADS", threads)
     else:

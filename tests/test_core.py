@@ -167,13 +167,19 @@ def test_rng_stream_refuses_a_non_integral_argument():
     [(1, 10, 8, 1), (64, 10, 8, 8), (64, 3, 8, 3), (4, 10, 8, 4), (4, 0, 8, 1), (0, 5, 8, 1), (4, 10, None, 1)],
 )
 def test_pool_size_is_clamped(monkeypatch, requested, tasks, cpus, expect):
-    # only the arithmetic: no pool is started
+    # only the arithmetic: no pool is started. cpus is os.cpu_count(), read
+    # where the OS has no affinity mask; a mask clamps whatever it says
     import os
 
     from csaloha.core import pool_size
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert pool_size(requested, tasks) == expect
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus or 1)), raising=False)
+    assert pool_size(requested, tasks) == expect
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool_size(requested, tasks) == 1
 
 
 def test_benchmark_imports_resolve():
@@ -227,6 +233,24 @@ def test_no_private_name_crosses_a_module_boundary():
         if alias.name.startswith("_")
     ]
     assert crossing == []
+
+
+def test_each_process_decision_stays_in_one_module():
+    # the CPUs are read only in core.pool_size, which every process count
+    # goes through, and only the coupled search forks
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src/csaloha"
+    calls = {
+        (path.name, node.func.attr)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+        and node.func.attr in ("cpu_count", "sched_getaffinity", "fork")
+    }
+    assert calls == {("core.py", "cpu_count"), ("core.py", "sched_getaffinity"), ("analysis.py", "fork")}
 
 
 def test_no_ufunc_at_in_src_scatters_a_bare_int():
