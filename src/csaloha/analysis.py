@@ -493,11 +493,13 @@ class _SearchAhead:
     its branch, are known with their inputs before its verdict. At the
     second block of the search's next probe g, the caller forks a child,
     which runs the rest of g (the stop rule's screen is exact for any
-    witnesses), sends (g, converged, p_T) and exits, and runs g's branch as
-    a search of its own, reading the pipe before each block. A "yes" makes
-    the branch the search, whose probe then gets a child in the same way; a
-    "no" drops the branch. A child runs only the kernel's ufuncs, never
-    BLAS, whose threads a fork does not copy, and ends in os._exit.
+    witnesses), sends (g, converged, p_T) and exits; the caller runs g's
+    branch as a search of its own, reading the pipe before each block. A
+    "yes" makes the branch the search, whose probe then gets a child in the
+    same way; a "no" drops the branch. An end of file before the record, or
+    a failed fork, leaves the caller alone. A child runs only the kernel's
+    ufuncs, never BLAS, whose threads a fork does not copy, and ends in
+    os._exit.
     """
 
     def __init__(self, kernel: _CoupledKernel, cfg: BlockDeConfig, search: _Bisection, workers: int):
